@@ -9,47 +9,39 @@
 use miv_core::Scheme;
 use miv_obs::Rng;
 
-/// One class of physical attack against untrusted memory (§3, §4.4,
-/// §5.4 of the paper), plus a no-injection control.
-// miv-analyze: exhaustive
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackClass {
-    /// No injection at all: any "detection" in a control cell is a
-    /// false alarm, the campaign's specificity baseline.
-    Control,
-    /// Flip a single bit of a program-data block.
-    DataBitFlip,
-    /// Overwrite a whole data block with attacker-chosen bytes.
-    BlockReplace,
-    /// Relocate one data block over another (the `CopyFrom` splice
-    /// attack defeated by position-binding).
-    Splice,
-    /// Restore a previously valid block after the program updated it —
-    /// the §4.4 replay/rollback attack on freshness.
-    Replay,
-    /// Flip a bit of a stored hash (or MAC tag) in a parent slot.
-    HashNodeCorrupt,
-    /// Copy one top-level chunk over another: both were valid under the
-    /// secure root, but each is bound to its own position.
-    RootSwap,
-    /// Flip one §5.4 timestamp bit in an incremental-MAC slot
-    /// (`ihash` only — the other schemes store no timestamps).
-    TimestampFlip,
+miv_hash::enum_with_all! {
+    /// One class of physical attack against untrusted memory (§3, §4.4,
+    /// §5.4 of the paper), plus a no-injection control.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AttackClass {
+        /// No injection at all: any "detection" in a control cell is a
+        /// false alarm, the campaign's specificity baseline.
+        Control,
+        /// Flip a single bit of a program-data block.
+        DataBitFlip,
+        /// Overwrite a whole data block with attacker-chosen bytes.
+        BlockReplace,
+        /// Relocate one data block over another (the `CopyFrom` splice
+        /// attack defeated by position-binding).
+        Splice,
+        /// Restore a previously valid block after the program updated it —
+        /// the §4.4 replay/rollback attack on freshness.
+        Replay,
+        /// Flip a bit of a stored hash (or MAC tag) in a parent slot.
+        HashNodeCorrupt,
+        /// Copy one top-level chunk over another: both were valid under the
+        /// secure root, but each is bound to its own position.
+        RootSwap,
+        /// Flip one §5.4 timestamp bit in an incremental-MAC slot
+        /// (`ihash` only — the other schemes store no timestamps).
+        TimestampFlip,
+    }
+
+    /// Every class, in matrix presentation order.
+    const ALL;
 }
 
 impl AttackClass {
-    /// Every class, in matrix presentation order.
-    pub const ALL: [AttackClass; 8] = [
-        AttackClass::Control,
-        AttackClass::DataBitFlip,
-        AttackClass::BlockReplace,
-        AttackClass::Splice,
-        AttackClass::Replay,
-        AttackClass::HashNodeCorrupt,
-        AttackClass::RootSwap,
-        AttackClass::TimestampFlip,
-    ];
-
     /// Stable kebab-case label used in reports and JSON.
     pub fn label(&self) -> &'static str {
         match self {

@@ -234,6 +234,10 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a nearest rank is at most len for p <= 100, and the clamp bounds it anyway"
+    )]
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

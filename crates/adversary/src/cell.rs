@@ -111,7 +111,10 @@ impl CellConfig {
                 }
             })
             .hasher(self.hash.hasher())
-            .cache_blocks((self.l2_bytes / self.line_bytes as u64) as usize)
+            .cache_blocks(
+                usize::try_from(self.l2_bytes / self.line_bytes as u64)
+                    .expect("the L2 line count fits usize"),
+            )
     }
 }
 
@@ -245,7 +248,8 @@ pub fn run_cell_traced(cfg: &CellConfig, spans: &SpanTracer) -> CellOutcome {
     // and replay effective: distinct blocks hold distinct bytes.
     let mut init_rng = Rng::seed_from_u64(cfg.seed ^ 0x0121_71A1);
     let mut vm = cfg.scheme.verifies().then(|| {
-        let mut init = vec![0u8; cfg.data_bytes as usize];
+        let mut init =
+            vec![0u8; usize::try_from(cfg.data_bytes).expect("the segment fits host memory")];
         init_rng.fill_bytes(&mut init);
         cfg.memory_builder()
             .initial_data(init)

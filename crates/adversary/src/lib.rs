@@ -36,8 +36,9 @@
 //! [`L2Controller`]: miv_core::L2Controller
 //! [`VerifiedMemory`]: miv_core::VerifiedMemory
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// A silently truncated chunk index or address would corrupt the tree
+// walk instead of failing loudly: narrow with `try_from` instead.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod attack;
 pub mod campaign;

@@ -282,7 +282,7 @@ pub fn run_offline_cell(cell: &OfflineCell) -> OfflineOutcome {
 
 fn workload(store: &mut BlockStore<MemMedium, MemRootStore>, rng: &mut Rng, cell: &OfflineCell) {
     for _ in 0..cell.ops {
-        let len = rng.gen_range_u64(1, 64) as usize;
+        let len = rng.gen_range_usize(1, 64);
         let addr = rng.gen_range_u64(0, cell.data_bytes - len as u64);
         let mut buf = vec![0u8; len];
         rng.fill_bytes(&mut buf);

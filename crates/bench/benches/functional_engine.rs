@@ -5,6 +5,11 @@
 //! whole-block optimization, and flushes under the hash-tree vs the
 //! incremental-MAC protections.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "bench setup runs on known-good configurations; any failure should abort the run"
+)]
+
 use std::hint::black_box;
 
 use miv_bench::Harness;

@@ -20,6 +20,12 @@
 //!   measurements are gated, not raw wall-clock numbers, so the gate is
 //!   meaningful on hardware other than the one that made the baseline.
 
+#![expect(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "bench setup runs on known-good configurations; any failure should abort the run"
+)]
+
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Duration;

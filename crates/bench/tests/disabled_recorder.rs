@@ -3,8 +3,13 @@
 //! so instrumentation can live permanently in simulator hot paths.
 //!
 //! Uses a counting `GlobalAlloc` wrapper; this file is an integration
-//! test so the `unsafe` allocator shim stays outside the
-//! `#![forbid(unsafe_code)]` library crates.
+//! test so the `unsafe` allocator shim stays outside the library crates,
+//! which deny `unsafe_code` through the workspace lint table.
+
+#![expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc must implement the unsafe allocator trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

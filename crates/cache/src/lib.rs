@@ -24,16 +24,13 @@
 //! assert!(l2.lookup(0x4000, LineKind::Data, false).is_hit());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod config;
 mod observe;
 mod policy;
 mod set_assoc;
 mod stats;
 
-pub use config::CacheConfig;
+pub use config::{CacheConfig, CacheConfigError};
 pub use observe::{CacheObserver, KindCounters};
 pub use policy::ReplacementPolicy;
 pub use set_assoc::{Cache, Eviction, LookupResult};

@@ -62,7 +62,6 @@ impl Snapshot {
 }
 
 /// A single tampering action.
-// miv-analyze: exhaustive
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TamperKind {
     /// Flip one bit of the byte at the target address.
@@ -124,6 +123,11 @@ impl<'a> Adversary<'a> {
     }
 
     /// Applies a tampering action at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bit index is 8 or more, or if the action reaches
+    /// outside physical memory.
     pub fn tamper(&mut self, addr: u64, kind: TamperKind) {
         match kind {
             TamperKind::BitFlip { bit } | TamperKind::HashNode { bit } => {

@@ -280,14 +280,22 @@ impl MemoryBuilder {
     /// The fallible form of [`build`](Self::build): returns a
     /// [`ConfigError`] instead of panicking on inconsistent geometry or
     /// an undersized trusted cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree's physical image exceeds the host's address
+    /// space (possible only on a 32-bit host).
     pub fn try_build(self) -> std::result::Result<VerifiedMemory, ConfigError> {
         self.validate()?;
         let layout = TreeLayout::try_new(self.data_bytes, self.chunk_bytes, self.block_bytes)?;
-        let layout_chunks = layout.total_chunks() as usize;
+        let layout_chunks = usize::try_from(layout.total_chunks())
+            .expect("the chunk count fits usize: the tree lives in host memory");
         let mut mem = UntrustedMemory::new(layout.physical_bytes());
         if let Some(data) = &self.initial_data {
             let base = layout.data_phys_addr(0);
-            let len = (data.len() as u64).min(layout.data_bytes()) as usize;
+            let len = data
+                .len()
+                .min(usize::try_from(layout.data_bytes()).unwrap_or(usize::MAX));
             mem.write(base, &data[..len]);
         }
 
@@ -530,18 +538,20 @@ impl VerifiedMemory {
         self.cache.remove(block);
         if !self.masked.is_empty() && self.masked.remove(&block) {
             let chunk = self.layout.chunk_of_addr(block);
-            self.verified_at[chunk as usize] = 0;
+            self.verified_at[usize::try_from(chunk).expect("chunk indexes verified_at")] = 0;
         }
     }
 
     /// Marks `chunk` as verified in the current epoch.
     fn stamp_verified(&mut self, chunk: u64) {
-        self.verified_at[chunk as usize] = self.epoch;
+        self.verified_at[usize::try_from(chunk).expect("chunk indexes verified_at")] = self.epoch;
     }
 
     /// Whether `chunk` still holds a current-epoch verification stamp.
     fn memo_valid(&self, chunk: u64) -> bool {
-        self.memoize && self.verified_at[chunk as usize] == self.epoch
+        self.memoize
+            && self.verified_at[usize::try_from(chunk).expect("chunk indexes verified_at")]
+                == self.epoch
     }
 
     /// Enables or disables integrity exceptions (§5.6.2 initialization
@@ -568,14 +578,15 @@ impl VerifiedMemory {
             let a = addr + pos as u64;
             let phys = self.layout.data_phys_addr(a);
             let block = self.block_addr(phys);
-            let offset = (phys - block) as usize;
+            let offset = usize::try_from(phys - block).expect("offset within one block");
             let take = (self.layout.block_bytes() as usize - offset).min(buf.len() - pos);
             if let Some(data) = self.cache.get(block) {
                 buf[pos..pos + take].copy_from_slice(&data[offset..offset + take]);
             } else {
                 let chunk = self.layout.chunk_of_addr(phys);
                 let image = self.poison_on_err(|e| e.read_and_check_chunk(chunk))?;
-                let in_chunk = (block - self.layout.chunk_addr(chunk)) as usize;
+                let in_chunk = usize::try_from(block - self.layout.chunk_addr(chunk))
+                    .expect("offset within one chunk");
                 buf[pos..pos + take]
                     .copy_from_slice(&image[in_chunk + offset..in_chunk + offset + take]);
                 self.insert_uncached_blocks(chunk, &image)?;
@@ -613,7 +624,7 @@ impl VerifiedMemory {
             let a = addr + pos as u64;
             let phys = self.layout.data_phys_addr(a);
             let block = self.block_addr(phys);
-            let offset = (phys - block) as usize;
+            let offset = usize::try_from(phys - block).expect("offset within one block");
             let block_len = self.layout.block_bytes() as usize;
             let take = (block_len - offset).min(data.len() - pos);
             if let Some(cached) = self.cache.get_mut(block) {
@@ -845,7 +856,8 @@ impl VerifiedMemory {
         let data_bytes = self.layout.data_bytes();
         let mut addr = 0u64;
         while addr < data_bytes {
-            let take = chunk_len.min((data_bytes - addr) as usize);
+            let take =
+                usize::try_from(data_bytes - addr).map_or(chunk_len, |rest| rest.min(chunk_len));
             let current = self.read_vec(addr, take)?;
             self.write(addr, &current)?;
             addr += chunk_len as u64;
@@ -1056,11 +1068,14 @@ impl VerifiedMemory {
 
     /// Paranoid mode (set MIV_PARANOID=1): audit the whole-tree invariant
     /// after a state-changing step. Used by stress tests.
+    #[expect(
+        clippy::panic,
+        reason = "MIV_PARANOID is an opt-in stress-audit mode; aborting at the first broken invariant is its contract"
+    )]
     fn paranoid_check(&mut self, what: std::fmt::Arguments<'_>) {
         static PARANOID: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         if *PARANOID.get_or_init(|| std::env::var_os("MIV_PARANOID").is_some()) {
             if let Err(e) = self.audit_invariant() {
-                // miv-analyze: allow(no-unwrap-in-lib, reason="MIV_PARANOID is an opt-in stress-audit mode; aborting at the first broken invariant is its contract")
                 panic!("after {what}: {e}");
             }
         }
@@ -1373,7 +1388,8 @@ impl VerifiedMemory {
     fn slot_block(&self, parent: u64, index: u32) -> (u64, usize) {
         let byte = self.layout.chunk_addr(parent) + self.layout.slot_offset(index) as u64;
         let block = self.block_addr(byte);
-        (block, (byte - block) as usize)
+        let offset = usize::try_from(byte - block).expect("offset within one block");
+        (block, offset)
     }
 
     fn check_poisoned(&self) -> Result<()> {
@@ -1477,7 +1493,8 @@ impl VerifiedMemory {
             // linear in the index), so chunk images are zero-copy
             // slices of it; slot writes land one level up, outside the
             // borrowed region.
-            let count = (range.end - range.start) as usize;
+            let count = usize::try_from(range.end - range.start)
+                .expect("a level's chunk count fits usize: the tree lives in host memory");
             let level = self
                 .mem
                 .region(self.layout.chunk_addr(range.start), count * chunk_len);

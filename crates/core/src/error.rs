@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use miv_cache::CacheConfigError;
+
 use crate::timing::Scheme;
 
 /// Raised by the fallible constructors ([`TreeLayout::try_new`],
@@ -90,6 +92,9 @@ pub enum ConfigError {
         /// Block size in bytes.
         block_bytes: u64,
     },
+    /// A cache geometry is invalid (see
+    /// [`CacheConfig::try_new`](miv_cache::CacheConfig::try_new)).
+    Cache(CacheConfigError),
 }
 
 impl fmt::Display for ConfigError {
@@ -150,11 +155,18 @@ impl fmt::Display for ConfigError {
                 "data segment must be a whole number of blocks ({data_bytes} B data, \
                  {block_bytes} B block)"
             ),
+            ConfigError::Cache(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+impl From<CacheConfigError> for ConfigError {
+    fn from(e: CacheConfigError) -> Self {
+        ConfigError::Cache(e)
+    }
+}
 
 /// Raised when a chunk's contents do not match the hash (or MAC) stored
 /// in its parent — the memory-tampering exception of §5.8.

@@ -27,6 +27,10 @@ use miv_hash::digest::DIGEST_BYTES;
 
 use crate::error::ConfigError;
 
+/// [`DIGEST_BYTES`] as a `u32`, for slot arithmetic on `u32` chunk sizes.
+const SLOT_BYTES: u32 = 16;
+const _: () = assert!(SLOT_BYTES as usize == DIGEST_BYTES);
+
 /// Where a chunk's hash is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParentRef {
@@ -118,7 +122,7 @@ impl TreeLayout {
                 block_bytes,
             });
         }
-        let arity = chunk_bytes / DIGEST_BYTES as u32;
+        let arity = chunk_bytes / SLOT_BYTES;
         if arity < 2 {
             return Err(ConfigError::ArityTooSmall { chunk_bytes });
         }
@@ -321,6 +325,10 @@ impl TreeLayout {
     }
 
     /// Physical address of program-data address `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or beyond `data_bytes`.
     pub fn data_phys_addr(&self, addr: u64) -> u64 {
         assert!(
             addr < self.data_bytes,
@@ -330,9 +338,13 @@ impl TreeLayout {
     }
 
     /// Byte offset of the hash slot `index` within a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the tree's arity.
     pub fn slot_offset(&self, index: u32) -> u32 {
         assert!(index < self.arity, "slot index out of range");
-        index * DIGEST_BYTES as u32
+        index * SLOT_BYTES
     }
 
     /// The chain of `(chunk, slot)` hash locations from `chunk` up to (and
@@ -416,7 +428,12 @@ mod tests {
         assert_eq!(l.hash_chunks(), 0);
         for c in 0..4 {
             assert!(l.is_data_chunk(c));
-            assert_eq!(l.parent(c), ParentRef::Secure { index: c as u32 });
+            assert_eq!(
+                l.parent(c),
+                ParentRef::Secure {
+                    index: u32::try_from(c).unwrap()
+                }
+            );
         }
     }
 
@@ -449,7 +466,7 @@ mod tests {
                     l.parent(child),
                     ParentRef::Chunk {
                         chunk,
-                        index: (child % l.arity() as u64) as u32
+                        index: u32::try_from(child % u64::from(l.arity())).unwrap()
                     },
                     "child {child} of {chunk}"
                 );
@@ -460,7 +477,7 @@ mod tests {
     #[test]
     fn every_chunk_has_exactly_one_hash_location() {
         let l = TreeLayout::new(64 * 1024, 64, 64);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for chunk in 0..l.total_chunks() {
             let key = match l.parent(chunk) {
                 ParentRef::Secure { index } => (u64::MAX, index),
@@ -579,7 +596,7 @@ mod tests {
         let l = TreeLayout::new(1 << 20, 64, 64);
         let leaf = l.total_chunks() - 1;
         let path = l.path_to_root(leaf);
-        assert_eq!(path.len() as u32, l.depth(leaf));
+        assert_eq!(path.len(), usize::try_from(l.depth(leaf)).unwrap());
         let mut prev = leaf;
         for &p in &path {
             assert!(p < prev);

@@ -43,8 +43,11 @@
 //! println!("detected: {err}");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// A silently truncated chunk index or address would corrupt the tree
+// walk instead of failing loudly: narrow with `try_from` instead.
+// Every panicking public function documents it under `# Panics`; a
+// constructor that can panic on input pairs with a `try_new`.
+#![deny(clippy::cast_possible_truncation, clippy::missing_panics_doc)]
 
 pub mod adversary;
 pub mod dma;

@@ -265,7 +265,7 @@ mod tests {
         };
         let stolen = {
             let mem = cpu.compartment_mut(b).unwrap();
-            mem.adversary().snapshot(0, total as usize)
+            mem.adversary().snapshot(0, usize::try_from(total).unwrap())
         };
         // ...and transplant it into A.
         let mem_a = cpu.compartment_mut(a).unwrap();

@@ -137,6 +137,10 @@ impl SavedImage {
     /// found: truncation, a bad magic, geometry words that overflow
     /// `u32` or cannot form a [`TreeLayout`], or a body whose length
     /// does not match the declared geometry.
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "the only panic converts an 8-byte header slice to [u8; 8] after the length check"
+    )]
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, FormatError> {
         if bytes.len() < HEADER_BYTES {
             return Err(FormatError::Truncated {
@@ -193,15 +197,20 @@ impl VerifiedMemory {
     /// # Errors
     ///
     /// Propagates verification errors from the flush.
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "the image is already held in host memory, so its size fits usize"
+    )]
     pub fn export_state(&mut self) -> Result<SavedImage, IntegrityError> {
         self.flush()?;
         let layout = *self.layout();
-        let mut bytes = Vec::with_capacity(layout.physical_bytes() as usize + 64);
+        let physical = usize::try_from(layout.physical_bytes()).expect("image held in memory");
+        let mut bytes = Vec::with_capacity(physical + 64);
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&layout.data_bytes().to_le_bytes());
         bytes.extend_from_slice(&(layout.chunk_bytes() as u64).to_le_bytes());
         bytes.extend_from_slice(&(layout.block_bytes() as u64).to_le_bytes());
-        bytes.extend_from_slice(&self.adversary_read_raw(0, layout.physical_bytes() as usize));
+        bytes.extend_from_slice(&self.adversary_read_raw(0, physical));
         Ok(SavedImage { bytes })
     }
 
@@ -225,8 +234,11 @@ impl VerifiedMemory {
 ///
 /// Returns [`IntegrityError`] if the image does not verify against the
 /// root — tampered or stale storage is rejected just like tampered RAM.
-/// Structurally malformed images cannot reach this function: every
-/// [`SavedImage`] was either produced by
+///
+/// # Panics
+///
+/// Panics on a structurally malformed image header, which no
+/// [`SavedImage`] can carry: every one was either produced by
 /// [`VerifiedMemory::export_state`] or validated by
 /// [`SavedImage::from_bytes`], so the header assertions below are
 /// defensive invariants, not an error path.

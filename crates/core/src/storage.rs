@@ -46,9 +46,13 @@ impl fmt::Debug for UntrustedMemory {
 
 impl UntrustedMemory {
     /// Allocates `len` bytes of zeroed memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the host's address space.
     pub fn new(len: u64) -> Self {
         UntrustedMemory {
-            bytes: vec![0u8; len as usize],
+            bytes: vec![0u8; usize::try_from(len).expect("memory size fits the address space")],
             reads: 0,
             writes: 0,
         }
@@ -71,7 +75,7 @@ impl UntrustedMemory {
     /// Panics if the range is out of bounds.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) {
         self.reads += 1;
-        let a = addr as usize;
+        let a = usize::try_from(addr).expect("address within memory");
         buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
     }
 
@@ -91,7 +95,7 @@ impl UntrustedMemory {
     /// Panics if the range is out of bounds.
     pub fn region(&mut self, addr: u64, len: usize) -> &[u8] {
         self.reads += 1;
-        let a = addr as usize;
+        let a = usize::try_from(addr).expect("address within memory");
         &self.bytes[a..a + len]
     }
 
@@ -102,7 +106,7 @@ impl UntrustedMemory {
     /// Panics if the range is out of bounds.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         self.writes += 1;
-        let a = addr as usize;
+        let a = usize::try_from(addr).expect("address within memory");
         self.bytes[a..a + data.len()].copy_from_slice(data);
     }
 

@@ -39,32 +39,27 @@ use crate::layout::{ParentRef, TreeLayout};
 /// A simulation timestamp in core clock cycles.
 pub type Cycle = u64;
 
-/// The verification scheme the controller runs.
-// miv-analyze: exhaustive
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// No memory verification (baseline).
-    Base,
-    /// Uncached hash tree between L2 and memory.
-    Naive,
-    /// Cached hash tree, one cache block per chunk.
-    CHash,
-    /// Cached hash tree, multiple cache blocks per chunk.
-    MHash,
-    /// Cached incremental-MAC tree, multiple blocks per chunk.
-    IHash,
+miv_hash::enum_with_all! {
+    /// The verification scheme the controller runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Scheme {
+        /// No memory verification (baseline).
+        Base,
+        /// Uncached hash tree between L2 and memory.
+        Naive,
+        /// Cached hash tree, one cache block per chunk.
+        CHash,
+        /// Cached hash tree, multiple cache blocks per chunk.
+        MHash,
+        /// Cached incremental-MAC tree, multiple blocks per chunk.
+        IHash,
+    }
+
+    /// All schemes in presentation order.
+    const ALL;
 }
 
 impl Scheme {
-    /// All schemes in presentation order.
-    pub const ALL: [Scheme; 5] = [
-        Scheme::Base,
-        Scheme::Naive,
-        Scheme::CHash,
-        Scheme::MHash,
-        Scheme::IHash,
-    ];
-
     /// Short label used in tables (matches the paper's names).
     pub fn label(&self) -> &'static str {
         match self {
@@ -1454,7 +1449,7 @@ mod tests {
         let mut cfg = CheckerConfig::hpca03(scheme);
         cfg.chunk_bytes = match scheme {
             Scheme::MHash | Scheme::IHash => line * 2,
-            _ => line,
+            Scheme::Base | Scheme::Naive | Scheme::CHash => line,
         };
         cfg.protected_bytes = 16 << 20; // keep trees small for tests
         L2Controller::new(
@@ -1908,7 +1903,7 @@ mod tests {
                 let mut cfg = CheckerConfig::hpca03(scheme);
                 cfg.chunk_bytes = match scheme {
                     Scheme::MHash | Scheme::IHash => 128,
-                    _ => 64,
+                    Scheme::Base | Scheme::Naive | Scheme::CHash => 64,
                 };
                 cfg.protected_bytes = 16 << 20;
                 cfg.block_on_verify = block_on_verify;

@@ -13,7 +13,10 @@
 //! which is how the engine keeps multi-step updates atomic with respect
 //! to re-entrant evictions.
 
-// miv-analyze: allow(deterministic-iteration, reason="hot-path lookup table; the only iteration sites are dirty_blocks (sorted before use) and iter_blocks, whose consumers fold into order-insensitive sets")
+#[expect(
+    clippy::disallowed_types,
+    reason = "hot-path lookup table; the only iteration sites are dirty_blocks (sorted before use) and iter_blocks, whose consumers fold into order-insensitive sets"
+)]
 use std::collections::{BTreeMap, HashMap};
 
 use crate::error::ConfigError;
@@ -37,7 +40,10 @@ use crate::error::ConfigError;
 pub struct TrustedCache {
     capacity: usize,
     block_bytes: usize,
-    // miv-analyze: allow(deterministic-iteration, reason="per-access lookup is the hot path (PR-4 bench gate); iteration never feeds output directly")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-access lookup is the hot path (bench-gated); iteration never feeds output directly"
+    )]
     entries: HashMap<u64, Entry>,
     /// stamp → addr index for O(log n) LRU victim selection.
     lru: BTreeMap<u64, u64>,
@@ -86,7 +92,10 @@ impl TrustedCache {
         Ok(TrustedCache {
             capacity,
             block_bytes,
-            // miv-analyze: allow(deterministic-iteration, reason="see field declaration: lookup-only hot path")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "see the field declaration: lookup-only hot path"
+            )]
             entries: HashMap::with_capacity(capacity + 4),
             lru: BTreeMap::new(),
             clock: 0,
@@ -153,9 +162,10 @@ impl TrustedCache {
         if self.entries.contains_key(&addr) {
             self.hits += 1;
             self.touch(addr);
-            let e = self.entries.get_mut(&addr).expect("present");
-            e.dirty = true;
-            Some(e.data.as_mut_slice())
+            self.entries.get_mut(&addr).map(|e| {
+                e.dirty = true;
+                e.data.as_mut_slice()
+            })
         } else {
             self.misses += 1;
             None
@@ -299,8 +309,8 @@ impl TrustedCache {
 mod tests {
     use super::*;
 
-    fn filled(n: u64) -> Vec<u8> {
-        vec![n as u8; 64]
+    fn filled(n: u8) -> Vec<u8> {
+        vec![n; 64]
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn controller(scheme: Scheme, buffer_entries: u32) -> L2Controller {
     cfg.buffer_entries = buffer_entries;
     cfg.chunk_bytes = match scheme {
         Scheme::MHash | Scheme::IHash => 128,
-        _ => 64,
+        Scheme::Base | Scheme::Naive | Scheme::CHash => 64,
     };
     L2Controller::new(
         cfg,

@@ -32,7 +32,7 @@ fn every_scheme_services_the_same_pattern() {
     for scheme in Scheme::ALL {
         let chunk = match scheme {
             Scheme::MHash | Scheme::IHash => 128,
-            _ => 64,
+            Scheme::Base | Scheme::Naive | Scheme::CHash => 64,
         };
         let ctl = drive(controller(scheme, 256, 64, chunk), 3000, 64 * 37, 5);
         let s = ctl.stats();
@@ -219,9 +219,12 @@ fn probe_records_a_cold_miss_walk() {
         .count();
     let verifies: Vec<_> = events
         .iter()
-        .filter_map(|e| match e {
-            CheckerEvent::VerifyComplete { chunk, done } => Some((*chunk, *done)),
-            _ => None,
+        .filter_map(|e| {
+            if let CheckerEvent::VerifyComplete { chunk, done } = e {
+                Some((*chunk, *done))
+            } else {
+                None
+            }
         })
         .collect();
     assert_eq!(demands, 1);

@@ -40,9 +40,6 @@
 //! assert!(stats.ipc() > 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod core_model;
 mod inst;
 mod port;

@@ -348,34 +348,35 @@ fn truncate<const N: usize>(full: [u8; N]) -> Digest {
     Digest(out)
 }
 
-/// A selectable hash-unit algorithm: the value behind every `--hash`
-/// CLI flag (campaigns, serving, the store bench) and the figures
-/// hash-unit sweep.
-///
-/// # Examples
-///
-/// ```
-/// use miv_hash::HashAlgo;
-///
-/// let algo = HashAlgo::parse("sha256").unwrap();
-/// assert_eq!(algo.hasher().name(), "sha256-128");
-/// ```
-// miv-analyze: exhaustive
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum HashAlgo {
-    /// MD5 — the paper's primary hash unit and the simulator default.
-    #[default]
-    Md5,
-    /// SHA-1, truncated to 128 bits (the paper's alternative unit).
-    Sha1,
-    /// SHA-256, truncated to 128 bits (the modern default).
-    Sha256,
+crate::enum_with_all! {
+    /// A selectable hash-unit algorithm: the value behind every `--hash`
+    /// CLI flag (campaigns, serving, the store bench) and the figures
+    /// hash-unit sweep.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use miv_hash::HashAlgo;
+    ///
+    /// let algo = HashAlgo::parse("sha256").unwrap();
+    /// assert_eq!(algo.hasher().name(), "sha256-128");
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub enum HashAlgo {
+        /// MD5 — the paper's primary hash unit and the simulator default.
+        #[default]
+        Md5,
+        /// SHA-1, truncated to 128 bits (the paper's alternative unit).
+        Sha1,
+        /// SHA-256, truncated to 128 bits (the modern default).
+        Sha256,
+    }
+
+    /// Every algorithm, in sweep order.
+    const ALL;
 }
 
 impl HashAlgo {
-    /// Every algorithm, in sweep order.
-    pub const ALL: [HashAlgo; 3] = [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Sha256];
-
     /// Parses a `--hash` flag value (`md5`, `sha1`, `sha256`).
     pub fn parse(s: &str) -> Option<HashAlgo> {
         match s {

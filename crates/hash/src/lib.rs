@@ -43,8 +43,58 @@
 //! assert_eq!(d.to_hex(), "900150983cd24fb0d6963f7d28e17f72");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+/// Declares a fieldless enum together with an associated `ALL` array of
+/// every variant in declaration order.
+///
+/// `ALL` is generated from the same variant list as the enum, so a new
+/// variant can never be missing from it: every sweep, campaign and CLI
+/// table that iterates `ALL` picks the variant up, and every exhaustive
+/// `match` over the enum stops compiling until it handles it. The
+/// workspace's dispatch enums (`HashAlgo`, `Scheme`, `AttackClass`) are
+/// declared this way.
+///
+/// # Examples
+///
+/// ```
+/// miv_hash::enum_with_all! {
+///     /// A two-variant demo.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub enum Demo {
+///         /// First.
+///         A,
+///         /// Second.
+///         B,
+///     }
+///
+///     /// Every variant, in declaration order.
+///     const ALL;
+/// }
+///
+/// assert_eq!(Demo::ALL, [Demo::A, Demo::B]);
+/// ```
+#[macro_export]
+macro_rules! enum_with_all {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$variant_meta:meta])* $variant:ident),+ $(,)?
+        }
+
+        $(#[$all_meta:meta])*
+        const ALL;
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$variant_meta])* $variant),+
+        }
+
+        impl $name {
+            $(#[$all_meta])*
+            pub const ALL: [$name; <[&str]>::len(&[$(stringify!($variant)),+])] =
+                [$($name::$variant),+];
+        }
+    };
+}
 
 pub mod aes;
 pub mod digest;

@@ -7,9 +7,13 @@
 //! long run keeps its tail — the part that explains steady-state
 //! behaviour — without unbounded memory.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "recorders are deliberately non-Send (zero-overhead when disabled); the sweep crosses threads via plain-data EventTraceSnapshot absorb"
+)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
-// miv-analyze: allow(rc-not-sent, reason="recorders are deliberately non-Send (zero-overhead when disabled); the sweep crosses threads via plain-data EventTraceSnapshot absorb")
 use std::rc::Rc;
 
 use crate::json::JsonValue;

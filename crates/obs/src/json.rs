@@ -36,21 +36,24 @@ impl JsonValue {
     }
 
     /// Appends a key/value pair to an object. Panics on non-objects.
+    #[expect(
+        clippy::panic,
+        reason = "pushing onto a non-object is a programming error, never data-dependent"
+    )]
     pub fn push(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
-        match self {
-            JsonValue::Object(fields) => fields.push((key.to_string(), value.into())),
-            // miv-analyze: allow(no-unwrap-in-lib, reason="documented '# Panics' contract: pushing onto a non-object is a programming error, never data-dependent")
-            other => panic!("push on non-object JsonValue: {other:?}"),
-        }
+        let JsonValue::Object(fields) = self else {
+            panic!("push on non-object JsonValue: {self:?}");
+        };
+        fields.push((key.to_string(), value.into()));
         self
     }
 
     /// Looks up a key in an object (first match).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let JsonValue::Object(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The value as a float, coercing integer variants.
@@ -59,7 +62,11 @@ impl JsonValue {
             JsonValue::Int(i) => Some(i as f64),
             JsonValue::UInt(u) => Some(u as f64),
             JsonValue::Float(f) => Some(f),
-            _ => None,
+            JsonValue::Null
+            | JsonValue::Bool(_)
+            | JsonValue::Str(_)
+            | JsonValue::Array(_)
+            | JsonValue::Object(_) => None,
         }
     }
 
@@ -67,24 +74,31 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             JsonValue::UInt(u) => Some(u),
-            JsonValue::Int(i) if i >= 0 => Some(i as u64),
-            _ => None,
+            JsonValue::Int(i) => u64::try_from(i).ok(),
+            JsonValue::Null
+            | JsonValue::Bool(_)
+            | JsonValue::Float(_)
+            | JsonValue::Str(_)
+            | JsonValue::Array(_)
+            | JsonValue::Object(_) => None,
         }
     }
 
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
+        if let JsonValue::Str(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 
     /// The value as an array slice.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
+        if let JsonValue::Array(items) = self {
+            Some(items)
+        } else {
+            None
         }
     }
 

@@ -36,9 +36,6 @@
 //! The crate deliberately depends on nothing (not even other `miv-*`
 //! crates) so every layer of the stack can use it.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod events;
 pub mod json;
 pub mod metrics;

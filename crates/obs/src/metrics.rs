@@ -7,9 +7,13 @@
 //! when telemetry is off (verified by `miv-bench`'s `obs_overhead`
 //! comparison and an allocation-counting test).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "recorders are deliberately non-Send (zero-overhead when disabled); the sweep crosses threads via plain-data TelemetrySnapshot absorb"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-// miv-analyze: allow(rc-not-sent, reason="recorders are deliberately non-Send (zero-overhead when disabled); the sweep crosses threads via plain-data TelemetrySnapshot absorb")
 use std::rc::Rc;
 
 use crate::json::JsonValue;

@@ -17,10 +17,14 @@
 //! [`ProfileSnapshot`] which the aggregator folds in request order, so
 //! merged profiles are byte-identical at any `--jobs` count.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "span tracers are deliberately non-Send like the metric recorders; parallel sweeps cross threads via plain-data ProfileSnapshot merge"
+)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-// miv-analyze: allow(rc-not-sent, reason="span tracers are deliberately non-Send like the metric recorders; parallel sweeps cross threads via plain-data ProfileSnapshot merge")
 use std::rc::Rc;
 
 use crate::json::JsonValue;
@@ -148,11 +152,9 @@ impl SpanTracer {
     }
 
     /// Opens a child span of the innermost open span and returns a guard
-    /// that closes it on drop. This is the only sanctioned way to open a
-    /// span in library code — the `span-balance` analyze rule rejects
-    /// manual [`span_enter`](Self::span_enter)/[`span_exit`](Self::span_exit)
-    /// pairs, which silently corrupt the whole tree if one side is
-    /// missed on an early return.
+    /// that closes it on drop. This is the only way to open a span: a
+    /// manual enter/exit pair would silently corrupt the whole tree if
+    /// one side were missed on an early return or `?`.
     #[inline]
     #[must_use = "dropping the guard closes the span immediately"]
     pub fn span(&self, name: &'static str) -> SpanGuard {
@@ -161,24 +163,6 @@ impl SpanTracer {
             SpanGuard(Some(Rc::clone(inner)))
         } else {
             SpanGuard(None)
-        }
-    }
-
-    /// Manually opens a span. Prefer [`span`](Self::span); this exists
-    /// for callers whose enter/exit sites cannot share a scope (and is
-    /// what the guard uses internally).
-    #[inline]
-    pub fn span_enter(&self, name: &str) {
-        if let Some(inner) = &self.0 {
-            inner.borrow_mut().enter(name);
-        }
-    }
-
-    /// Manually closes the innermost open span (no-op when none is open).
-    #[inline]
-    pub fn span_exit(&self) {
-        if let Some(inner) = &self.0 {
-            inner.borrow_mut().exit();
         }
     }
 

@@ -313,15 +313,21 @@ impl Options {
         Ok(o)
     }
 
-    fn system_config(&self, scheme: Scheme) -> SystemConfig {
-        let mut cfg = SystemConfig::hpca03(scheme, self.l2, self.line)
+    /// The machine for `scheme`, pre-flighted through the fallible
+    /// constructors: a bad `--l2`/`--line` geometry is a CLI error, not
+    /// a panic.
+    fn system_config(&self, scheme: Scheme) -> Result<SystemConfig, String> {
+        let invalid = |e| format!("invalid configuration: {e}");
+        let mut cfg = SystemConfig::try_hpca03(scheme, self.l2, self.line)
+            .map_err(invalid)?
             .with_hash_throughput(Throughput::gbps(self.hash_gbps))
             .with_buffer_entries(self.buffers);
         cfg.checker.block_on_verify = self.block_on_verify;
         cfg.checker.write_allocate_no_fetch = self.write_alloc_opt;
         cfg.checker.l2_policy = self.policy;
         cfg.checker.protected_bytes = self.protected;
-        cfg
+        cfg.validate().map_err(invalid)?;
+        Ok(cfg)
     }
 
     /// Runs one scheme on the selected workload, recording into
@@ -340,7 +346,7 @@ impl Options {
             // Replay through a custom profile-free system: reuse System by
             // constructing a profile wrapper is not possible for raw
             // traces, so drive the core directly (one sample for the run).
-            let cfg = self.system_config(scheme);
+            let cfg = self.system_config(scheme)?;
             let mut hierarchy = miv_sim::Hierarchy::new(&cfg);
             if let Some(t) = telemetry {
                 hierarchy.attach_observability(t.registry(), t.events().sink());
@@ -405,10 +411,10 @@ impl Options {
             Ok((result, samples))
         } else {
             let mut sys = if let Some(profile) = self.custom {
-                System::new(self.system_config(scheme), profile, self.common.seed)
+                System::new(self.system_config(scheme)?, profile, self.common.seed)
             } else {
                 let bench = self.bench.ok_or("need --bench, --custom or --trace")?;
-                System::for_benchmark(self.system_config(scheme), bench, self.common.seed)
+                System::for_benchmark(self.system_config(scheme)?, bench, self.common.seed)
             };
             if let Some(t) = telemetry {
                 sys.attach_telemetry(t);
@@ -521,19 +527,19 @@ fn main() -> ExitCode {
                         .ok_or("need --bench, --custom or --trace")?
                         .into(),
                 };
-                let requests: Vec<RunRequest> = Scheme::ALL
+                let requests = Scheme::ALL
                     .iter()
                     .map(|&scheme| {
-                        RunRequest::new(
-                            opts.system_config(scheme),
+                        Ok(RunRequest::new(
+                            opts.system_config(scheme)?,
                             workload,
                             opts.warmup,
                             opts.measure,
                             opts.common.seed,
                         )
-                        .with_sample_interval(opts.sample_interval)
+                        .with_sample_interval(opts.sample_interval))
                     })
-                    .collect();
+                    .collect::<Result<Vec<_>, String>>()?;
                 let mut runner = SweepRunner::new(opts.common.jobs);
                 if let Some(t) = &telemetry {
                     runner = runner.capture_telemetry(t.events().capacity());

@@ -1,7 +1,8 @@
 //! Full-machine configuration (Table 1).
 
 use miv_cache::CacheConfig;
-use miv_core::timing::{CheckerConfig, Scheme};
+use miv_core::timing::{CheckerConfig, L2Controller, Scheme};
+use miv_core::ConfigError;
 use miv_cpu::CoreConfig;
 use miv_hash::{HashEngineConfig, Throughput};
 use miv_mem::MemoryBusConfig;
@@ -39,20 +40,47 @@ impl SystemConfig {
     /// L2 line size. For `MHash`/`IHash` the chunk spans two L2 lines
     /// (the geometry Figure 8 evaluates); for the other schemes chunk =
     /// line.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid L2 geometry; user-supplied sizes go through
+    /// [`try_hpca03`](Self::try_hpca03).
     pub fn hpca03(scheme: Scheme, l2_bytes: u64, l2_line: u32) -> Self {
+        SystemConfig::try_hpca03(scheme, l2_bytes, l2_line).expect("documented invariant")
+    }
+
+    /// The fallible form of [`hpca03`](Self::hpca03).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Cache`] if the L2 capacity or line size
+    /// cannot form a cache.
+    pub fn try_hpca03(scheme: Scheme, l2_bytes: u64, l2_line: u32) -> Result<Self, ConfigError> {
         let mut checker = CheckerConfig::hpca03(scheme);
         checker.chunk_bytes = match scheme {
             Scheme::MHash | Scheme::IHash => l2_line * 2,
             Scheme::Base | Scheme::Naive | Scheme::CHash => l2_line,
         };
-        SystemConfig {
+        Ok(SystemConfig {
             core: CoreConfig::default(),
             l1: CacheConfig::l1(),
             l1_latency: 2,
-            l2: CacheConfig::l2(l2_bytes, l2_line),
+            l2: CacheConfig::try_l2(l2_bytes, l2_line)?,
             bus: MemoryBusConfig::default(),
             checker,
-        }
+        })
+    }
+
+    /// Checks that the integrity checker can be built over this L2,
+    /// through the fallible constructor: the pre-flight for
+    /// user-supplied geometry, so a bad one is a CLI error instead of a
+    /// panic when the machine is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] from [`L2Controller::try_new`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        L2Controller::try_new(self.checker, self.l2, self.bus).map(drop)
     }
 
     /// Overrides the hash-unit throughput (Figure 6 sweep).

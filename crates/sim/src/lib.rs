@@ -20,8 +20,9 @@
 //! `figures` binary prints them (`cargo run -p miv-sim --release --bin
 //! figures -- all`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// A silently truncated chunk index or address would corrupt the tree
+// walk instead of failing loudly: narrow with `try_from` instead.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod attack;
 pub mod cli;

@@ -22,8 +22,8 @@
 //! record into a private per-shard [`Telemetry`], and only plain
 //! [`TelemetrySnapshot`] data crosses back inside the [`ShardOutcome`].
 //! A compile-time `assert_send` check at the bottom of this module pins
-//! the boundary; the `rc-not-sent` analyze rule enforces that no `Rc`
-//! type ever appears in this file's task signatures.
+//! the boundary, and clippy's `disallowed_types` keeps `Rc` out of this
+//! module entirely.
 //!
 //! # Integrity probes
 //!
@@ -284,7 +284,10 @@ impl ShardSpec {
                 }
             })
             .hasher(self.hash.hasher())
-            .cache_blocks((self.l2_bytes / self.line_bytes as u64) as usize)
+            .cache_blocks(
+                usize::try_from(self.l2_bytes / self.line_bytes as u64)
+                    .expect("the L2 line count fits usize"),
+            )
     }
 
     /// Checks that both engine halves can be built from this spec —
@@ -293,7 +296,7 @@ impl ShardSpec {
     pub fn validate(&self) -> Result<(), ConfigError> {
         L2Controller::try_new(
             self.checker_config(),
-            CacheConfig::l2(self.l2_bytes, self.line_bytes),
+            CacheConfig::try_l2(self.l2_bytes, self.line_bytes)?,
             MemoryBusConfig::default(),
         )?;
         self.memory_builder().validate()
@@ -375,7 +378,8 @@ pub fn run_shard(spec: &ShardSpec) -> ShardOutcome {
     )
     .expect("shard spec validated before dispatch");
     let mut init_rng = Rng::seed_from_u64(spec.seed ^ 0x007E_4A11);
-    let mut init = vec![0u8; spec.data_bytes as usize];
+    let mut init =
+        vec![0u8; usize::try_from(spec.data_bytes).expect("the segment fits host memory")];
     init_rng.fill_bytes(&mut init);
     let mut vm = VerifiedMemory::try_new(spec.memory_builder().initial_data(init))
         .expect("shard spec validated before dispatch");

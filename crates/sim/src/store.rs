@@ -243,7 +243,7 @@ where
     let data_bytes = store.geometry().layout().data_bytes();
     let mut mismatches = 0u64;
     for op in 1..=ops {
-        let len = rng.gen_range_u64(16, 129) as usize;
+        let len = rng.gen_range_usize(16, 129);
         let addr = rng.gen_range_u64(0, data_bytes - len as u64);
         let is_write = rng.gen_range_u64(0, 100) < write_pct as u64;
         let before = store.stats();
@@ -252,12 +252,14 @@ where
             rng.fill_bytes(&mut buf);
             store.write(addr, &buf)?;
             if let Some(model) = model.as_deref_mut() {
-                model[addr as usize..addr as usize + len].copy_from_slice(&buf);
+                let at = usize::try_from(addr).expect("the model spans the data segment");
+                model[at..at + len].copy_from_slice(&buf);
             }
         } else {
             let got = store.read_vec(addr, len)?;
             if let Some(model) = model.as_deref_mut() {
-                if got != model[addr as usize..addr as usize + len] {
+                let at = usize::try_from(addr).expect("the model spans the data segment");
+                if got != model[at..at + len] {
                     mismatches += 1;
                 }
             }
@@ -384,7 +386,8 @@ pub fn run_soak(spec: &StoreSpec, dir: &Path) -> Result<SoakReport, String> {
     };
     let registry = Registry::new();
     let latency = registry.histogram("store.op_ticks");
-    let mut model = vec![0u8; spec.data_bytes as usize];
+    let data_len = usize::try_from(spec.data_bytes).expect("the segment fits host memory");
+    let mut model = vec![0u8; data_len];
     let mut rng = Rng::seed_from_u64(cell_seed(spec.seed, STORE_SEED_LANE, 255, 0));
     let mut mismatches = 0u64;
     let mut replayed = 0u64;
@@ -419,9 +422,7 @@ pub fn run_soak(spec: &StoreSpec, dir: &Path) -> Result<SoakReport, String> {
         .map_err(fail("reopen"))?;
         store = reopened;
         replayed += recovery.replayed_entries;
-        let check = store
-            .read_vec(0, spec.data_bytes as usize)
-            .map_err(fail("readback"))?;
+        let check = store.read_vec(0, data_len).map_err(fail("readback"))?;
         if check != model {
             mismatches += 1;
         }
@@ -531,11 +532,13 @@ fn fsck_script(
 }
 
 fn fsck_model(config: &StoreConfig, generation: u64) -> Vec<u8> {
-    let mut data = vec![0u8; config.data_bytes as usize];
+    let mut data =
+        vec![0u8; usize::try_from(config.data_bytes).expect("the segment fits host memory")];
     for phase in 1..=2u32 {
         if generation > phase as u64 {
             for (addr, bytes) in fsck_phase_writes(config, phase) {
-                data[addr as usize..addr as usize + bytes.len()].copy_from_slice(&bytes);
+                let at = usize::try_from(addr).expect("the model spans the data segment");
+                data[at..at + bytes.len()].copy_from_slice(&bytes);
             }
         }
     }
@@ -564,7 +567,8 @@ fn run_crash_point(fail_at: u64, config: &StoreConfig, hash: HashAlgo) -> CrashV
     if let Err(e) = store.verify_all() {
         return CrashVerdict::Torn(format!("step {fail_at}: verify failed: {e}"));
     }
-    let data = match store.read_vec(0, config.data_bytes as usize) {
+    let data_len = usize::try_from(config.data_bytes).expect("the segment fits host memory");
+    let data = match store.read_vec(0, data_len) {
         Ok(data) => data,
         Err(e) => return CrashVerdict::Torn(format!("step {fail_at}: readback failed: {e}")),
     };
@@ -781,6 +785,10 @@ pub fn store_fsck_document(spec: &StoreSpec, report: &FsckMatrixReport) -> JsonV
 }
 
 /// Renders the bench grid as a text table plus a one-line summary.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "latency quantiles are non-negative tick counts, printed as whole ticks"
+)]
 pub fn render_store_bench(spec: &StoreSpec, outcomes: &[BenchOutcome]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -189,7 +189,9 @@ impl System {
         }
         if warmup > 0 {
             let trace = &mut self.trace;
-            self.core.run(trace.take(warmup as usize));
+            self.core.run(
+                trace.take(usize::try_from(warmup).expect("the instruction count fits usize")),
+            );
         }
         self.core.port_mut().reset_stats();
         let interval = if interval == 0 { measure } else { interval };
@@ -204,7 +206,9 @@ impl System {
         while instructions < measure {
             let step = interval.min(measure - instructions);
             let trace = &mut self.trace;
-            let stats = self.core.run(trace.take(step as usize));
+            let stats = self
+                .core
+                .run(trace.take(usize::try_from(step).expect("the instruction count fits usize")));
             instructions += stats.instructions;
             cycles += stats.cycles;
             let l2 = *self.core.port().l2().l2_stats();

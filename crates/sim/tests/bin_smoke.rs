@@ -274,6 +274,40 @@ fn mivsim_rejects_bad_args() {
     assert!(stderr.contains("unknown option"));
     let (ok, _, _) = run(exe, &[]);
     assert!(!ok);
+    // Bad cache geometry is a CLI error on every path that builds an
+    // L2, never a panic out of a constructor.
+    for (args, needle) in [
+        (
+            &["serve", "--quick", "--l2", "0"][..],
+            "cache size must be a power of two",
+        ),
+        (
+            &["serve", "--quick", "--line", "0"][..],
+            "line size must be a power of two",
+        ),
+        (
+            &["serve", "--quick", "--line", "48"][..],
+            "line size must be a power of two",
+        ),
+        (
+            &["--scheme", "chash", "--l2", "0"][..],
+            "cache size must be a power of two",
+        ),
+        (
+            &["--scheme", "chash", "--line", "48"][..],
+            "line size must be a power of two",
+        ),
+        (
+            &["sweep", "--l2", "0"][..],
+            "cache size must be a power of two",
+        ),
+        (&["run", "--scheme", "chash", "--line", "16"][..], "arity"),
+    ] {
+        let (ok, _, stderr) = run(exe, args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -40,8 +40,9 @@
 //! assert_eq!(store.read_vec(0, 19).unwrap(), b"survives power loss");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Every panicking public function documents it under `# Panics`; a
+// constructor that can panic on input pairs with a `try_new`.
+#![deny(clippy::missing_panics_doc)]
 
 pub mod error;
 pub mod format;

@@ -14,11 +14,15 @@
 //! as a device step so the crash matrix enumerates the protocol's sync
 //! boundaries too.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "MemMedium clones share one buffer so a reopened store sees the same simulated device; stores are built and used on a single worker, never crossing the sweep boundary"
+)]
+
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-// miv-analyze: allow(rc-not-sent, reason="MemMedium clones share one buffer so a reopened store sees the same simulated device; stores are built and used on a single worker, never crossing the sweep boundary")
 use std::rc::Rc;
 
 /// An untrusted byte device addressed by absolute offset.
@@ -74,9 +78,8 @@ impl MemMedium {
     /// XORs one byte — the offline bit-flip primitive.
     pub fn flip(&self, offset: u64, mask: u8) {
         let mut bytes = self.bytes.borrow_mut();
-        let idx = usize::try_from(offset).expect("documented invariant");
-        if idx < bytes.len() {
-            bytes[idx] ^= mask;
+        if let Some(byte) = usize::try_from(offset).ok().and_then(|i| bytes.get_mut(i)) {
+            *byte ^= mask;
         }
     }
 }

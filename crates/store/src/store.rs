@@ -33,13 +33,17 @@
 //! verifies and the journal replay (step 4 redone) reconstructs the new
 //! state. There is no window in which neither state is recoverable.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "MemRootStore clones share one cell so the trusted root survives a simulated crash; root stores live and die on one worker, never crossing the sweep boundary"
+)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-// miv-analyze: allow(rc-not-sent, reason="MemRootStore clones share one cell so the trusted root survives a simulated crash; root stores live and die on one worker, never crossing the sweep boundary")
 use std::rc::Rc;
 
-use miv_core::ParentRef;
+use miv_core::{FormatError, ParentRef};
 use miv_hash::digest::DIGEST_BYTES;
 use miv_hash::ChunkHasher;
 
@@ -111,7 +115,7 @@ impl RootStore for MemRootStore {
     fn load(&self) -> Result<TrustedRoot, StoreError> {
         match self.blob.borrow().as_deref() {
             Some(bytes) => Ok(TrustedRoot::from_bytes(bytes)?),
-            None => Err(StoreError::Format(miv_core::FormatError::Truncated {
+            None => Err(StoreError::Format(FormatError::Truncated {
                 what: "trusted root",
                 needed: 40,
                 got: 0,
@@ -271,6 +275,11 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
     /// Formats `medium` as a fresh store: zeroed data, a consistent
     /// hash tree over it, generation 1 committed and saved to
     /// `root_store`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store image exceeds the host's address space
+    /// (possible only on a 32-bit host).
     pub fn create(
         mut medium: M,
         mut root_store: R,
@@ -364,6 +373,15 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
     /// Opens an existing store, recovering to the trusted root's
     /// generation: picks the matching superblock slot, replays its
     /// committed journal prefix, and discards orphaned frames.
+    ///
+    /// A trusted root whose digest count does not match its own
+    /// geometry is rejected with a [`FormatError::LengthMismatch`]
+    /// before anything indexes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal frame exceeds the host's address space
+    /// (possible only on a 32-bit host).
     pub fn open(
         mut medium: M,
         root_store: R,
@@ -378,6 +396,15 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             journal_slots: root.journal_slots,
         };
         let (geom, reserve) = validate(&config)?;
+        let layout = geom.layout();
+        let root_count = u64::from(layout.arity()).min(layout.total_chunks());
+        if root.roots.len() as u64 != root_count {
+            return Err(StoreError::Format(FormatError::LengthMismatch {
+                what: "trusted root digests",
+                expected: root_count,
+                got: root.roots.len() as u64,
+            }));
+        }
         let mut stats = StoreStats::default();
 
         // Find the superblock slot that matches the trusted root. The
@@ -1087,5 +1114,45 @@ mod tests {
         };
         let err = BlockStore::create(medium, roots, config, Box::new(Md5Hasher)).unwrap_err();
         assert!(matches!(err, StoreError::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn trusted_root_with_wrong_digest_count_is_rejected() {
+        let (store, mut medium, mut roots) = fresh(StoreConfig::small());
+        let slot_offset = store.geometry().slot_offset(StoreGeometry::slot_for(1));
+        drop(store);
+        // A root blob that decodes, carrying one digest where the
+        // geometry has eight top-level chunks, plus a superblock that
+        // matches it: open must refuse the pair, not index past the end
+        // of the digest vector on the first read.
+        let mut root = roots.load().unwrap();
+        assert_eq!(root.roots.len(), 8);
+        root.roots.truncate(1);
+        roots.save(&root).unwrap();
+        let sb = Superblock {
+            generation: root.generation,
+            data_bytes: root.data_bytes,
+            page_bytes: root.page_bytes,
+            journal_slots: root.journal_slots,
+            journal_len: 0,
+            roots_digest: root.roots_digest(&Md5Hasher),
+        };
+        medium
+            .write_at(slot_offset, &sb.encode(&Md5Hasher))
+            .unwrap();
+        let Err(err) = BlockStore::open(medium, roots, Box::new(Md5Hasher), 16) else {
+            panic!("open accepted one root digest for eight top-level chunks");
+        };
+        assert!(
+            matches!(
+                err,
+                StoreError::Format(FormatError::LengthMismatch {
+                    expected: 8,
+                    got: 1,
+                    ..
+                })
+            ),
+            "{err}"
+        );
     }
 }

@@ -221,7 +221,7 @@ mod tests {
                 TraceOp::Load { addr, .. } | TraceOp::Store { addr, .. } => {
                     assert!(addr < p.working_set, "addr {addr:#x}");
                 }
-                _ => {}
+                TraceOp::Compute { .. } | TraceOp::Branch { .. } | TraceOp::CryptoBarrier => {}
             }
         }
     }

@@ -34,9 +34,6 @@
 //! assert_eq!(trace, again);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod benchmark;
 pub mod file;
 mod generator;

@@ -60,7 +60,7 @@ impl TraceSummary {
                         s.mispredicts += 1;
                     }
                 }
-                _ => {}
+                TraceOp::Compute { .. } | TraceOp::CryptoBarrier => {}
             }
         }
         s

@@ -18,6 +18,11 @@
 //! cargo run --example dma_transfer
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "examples keep error handling out of the way of the API they demonstrate"
+)]
+
 use miv::core::{MemoryBuilder, TamperKind};
 use miv::hash::md5::md5;
 

@@ -9,6 +9,11 @@
 //! cargo run --release --example performance_study
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "examples keep error handling out of the way of the API they demonstrate"
+)]
+
 use miv::core::Scheme;
 use miv::sim::report::{f2, f3, pct, Table};
 use miv::sim::{System, SystemConfig, Telemetry};

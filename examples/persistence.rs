@@ -17,6 +17,11 @@
 //! cargo run --example persistence
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "examples keep error handling out of the way of the API they demonstrate"
+)]
+
 use miv::core::persist::{restore, SavedImage};
 use miv::core::{MemoryBuilder, Protection};
 use miv::hash::digest::Md5Hasher;

@@ -8,6 +8,11 @@
 //! cargo run --example quickstart
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "examples keep error handling out of the way of the API they demonstrate"
+)]
+
 use miv::core::{MemoryBuilder, TamperKind};
 
 fn main() {

@@ -19,6 +19,11 @@
 //! cargo run --example replay_attack
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "examples keep error handling out of the way of the API they demonstrate"
+)]
+
 use miv::core::xom::XomMemory;
 use miv::core::MemoryBuilder;
 

@@ -44,8 +44,6 @@
 //! assert!(mem.read_vec(0x1000, 12).is_err());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use miv_adversary as adversary;
 pub use miv_cache as cache;
 pub use miv_core as core;

@@ -2,6 +2,8 @@
 //! through the cycle-level simulator, and the functional engine driven by
 //! simulator-style traffic.
 
+use std::path::{Path, PathBuf};
+
 use miv::core::{MemoryBuilder, Protection, Scheme, TamperKind};
 use miv::cpu::{Core, CoreConfig, TraceOp};
 use miv::sim::{System, SystemConfig};
@@ -83,7 +85,7 @@ fn functional_engine_replays_simulator_trace() {
                 mem.write(a, &a.to_le_bytes()).unwrap();
                 ops += 1;
             }
-            _ => {}
+            TraceOp::Compute { .. } | TraceOp::Branch { .. } | TraceOp::CryptoBarrier => {}
         }
     }
     assert!(ops > 5_000, "trace exercised the engine: {ops} ops");
@@ -162,4 +164,67 @@ fn tampering_blocks_certification() {
         }
     }
     assert!(detected, "result {acc:#x} would have been silently wrong");
+}
+
+/// The key/value lines of the TOML table `[name]` in `manifest`, with
+/// comments and blank lines dropped.
+fn toml_table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+/// The manifests of the directories under `dir` that hold one.
+fn member_manifests(dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("directory is readable")
+        .map(|entry| entry.expect("entry is readable").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.is_file())
+        .collect();
+    found.sort();
+    found
+}
+
+/// Every package inherits the workspace lint table: a crate missing
+/// `[lints] workspace = true` would silently escape `unsafe_code`,
+/// `unwrap_used`, the disallowed types and the rest of the invariants
+/// in INVARIANTS.md.
+#[test]
+fn every_manifest_inherits_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    manifests.extend(member_manifests(&root.join("crates")));
+    manifests.extend(member_manifests(&root.join("tests/lint-fixtures")));
+    assert!(manifests.len() >= 14, "found {manifests:?}");
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).unwrap();
+        assert_eq!(
+            toml_table(&text, "lints"),
+            ["workspace = true"],
+            "{} must inherit the workspace lints",
+            manifest.display()
+        );
+    }
+}
+
+/// The negative lint fixtures live in a workspace of their own (so the
+/// real workspace stays clean) whose lint table must equal the real
+/// one: CI's expectation that clippy fails on each fixture then tests
+/// the settings every crate actually runs under.
+#[test]
+fn lint_fixtures_share_the_workspace_lint_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let workspace = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let fixtures = std::fs::read_to_string(root.join("tests/lint-fixtures/Cargo.toml")).unwrap();
+    for table in ["workspace.lints.rust", "workspace.lints.clippy"] {
+        let expected = toml_table(&workspace, table);
+        assert!(!expected.is_empty(), "[{table}] is missing");
+        assert_eq!(toml_table(&fixtures, table), expected, "[{table}] drifted");
+    }
 }
