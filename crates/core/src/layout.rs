@@ -347,17 +347,15 @@ impl TreeLayout {
         index * SLOT_BYTES
     }
 
-    /// The chain of `(chunk, slot)` hash locations from `chunk` up to (and
-    /// excluding) secure memory, leaf-to-root order; the final entry's
-    /// parent is secure memory.
-    pub fn path_to_root(&self, chunk: u64) -> Vec<u64> {
-        let mut path = Vec::new();
-        let mut c = chunk;
-        while let ParentRef::Chunk { chunk: p, .. } = self.parent(c) {
-            path.push(p);
-            c = p;
-        }
-        path
+    /// The ancestor chunks of `chunk` up to (and excluding) secure
+    /// memory, leaf-to-root order; the final one's parent is secure
+    /// memory.
+    pub fn path_to_root(&self, chunk: u64) -> impl Iterator<Item = u64> + '_ {
+        let up = move |c: u64| match self.parent(c) {
+            ParentRef::Chunk { chunk: p, .. } => Some(p),
+            ParentRef::Secure { .. } => None,
+        };
+        std::iter::successors(up(chunk), move |&c| up(c))
     }
 }
 
@@ -595,7 +593,7 @@ mod tests {
     fn path_to_root_is_strictly_decreasing() {
         let l = TreeLayout::new(1 << 20, 64, 64);
         let leaf = l.total_chunks() - 1;
-        let path = l.path_to_root(leaf);
+        let path: Vec<u64> = l.path_to_root(leaf).collect();
         assert_eq!(path.len(), usize::try_from(l.depth(leaf)).unwrap());
         let mut prev = leaf;
         for &p in &path {

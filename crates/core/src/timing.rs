@@ -415,22 +415,27 @@ impl L2Controller {
     /// # Panics
     ///
     /// Panics if the chunk geometry is inconsistent with the scheme or
-    /// the L2 line size. Fallible callers (anything validating a
-    /// user-supplied spec) use [`try_new`](Self::try_new) instead.
+    /// the L2 line size, or if there are no buffer entries. Fallible
+    /// callers (anything validating a user-supplied spec) use
+    /// [`try_new`](Self::try_new) instead.
     pub fn new(config: CheckerConfig, l2: CacheConfig, bus: MemoryBusConfig) -> Self {
         Self::try_new(config, l2, bus).expect("documented invariant")
     }
 
     /// The fallible form of [`new`](Self::new): returns a
     /// [`ConfigError`] instead of panicking when the chunk geometry is
-    /// inconsistent with the scheme or the L2 line size. This is the
-    /// construction path for user-supplied specs (`mivsim serve` shard
-    /// specs, `mivsim profile` geometry).
+    /// inconsistent with the scheme or the L2 line size, or when there
+    /// are no buffer entries. This is the construction path for
+    /// user-supplied specs (`mivsim run`/`sweep` flags, `mivsim serve`
+    /// shard specs, `mivsim profile` geometry).
     pub fn try_new(
         config: CheckerConfig,
         l2: CacheConfig,
         bus: MemoryBusConfig,
     ) -> Result<Self, ConfigError> {
+        if config.buffer_entries == 0 {
+            return Err(ConfigError::ZeroSize { what: "buffer" });
+        }
         let layout = if config.scheme.verifies() {
             let line = l2.line_bytes;
             match config.scheme {
@@ -895,13 +900,15 @@ impl L2Controller {
         let mut level_arrival = vstart;
         let mut verify_done = self.schedule_chunk_hash(vstart, layout.chunk_bytes(), "verify");
         self.stats.verifications += 1;
-        let mut covered = vec![self.block_addr(phys)];
+        let block = self.block_addr(phys);
+        let mut first_taint = self.tainted.contains(&block).then_some(block);
         for ancestor in layout.path_to_root(chunk) {
             depth += 1;
             self.stats.hash_fetches += self.blocks_per_chunk();
             let mut chunk_arrival = level_arrival;
             for j in 0..self.blocks_per_chunk() {
-                covered.push(layout.chunk_addr(ancestor) + j * self.line_bytes());
+                let b = layout.chunk_addr(ancestor) + j * self.line_bytes();
+                first_taint = first_taint.or_else(|| self.tainted.contains(&b).then_some(b));
                 let t = self.bus_read(t0, TrafficClass::HashRead);
                 chunk_arrival = chunk_arrival.max(t.complete);
             }
@@ -921,7 +928,7 @@ impl L2Controller {
         );
         // The naive walk re-reads the demand block and every ancestor
         // from memory, so corruption anywhere on the path fails here.
-        self.verify_tamper(verify_done, chunk, &covered);
+        self.verify_tamper(verify_done, chunk, first_taint);
         self.read_buf.occupy(slot, verify_done);
         self.note_verification(verify_done);
 
@@ -955,21 +962,19 @@ impl L2Controller {
             // Fetch the ancestor, splice in the child's new hash, verify
             // the old content, write it back.
             self.stats.hash_fetches += self.blocks_per_chunk();
+            // The old ancestor content is checked before the rewrite, so
+            // taint on it is detected *before* the write-back heals it.
             let mut arrival = start;
-            let mut blocks = Vec::new();
+            let mut first_taint = None;
             for j in 0..self.blocks_per_chunk() {
-                blocks.push(layout.chunk_addr(ancestor) + j * self.line_bytes());
+                let b = layout.chunk_addr(ancestor) + j * self.line_bytes();
+                first_taint = first_taint.or(self.tainted.take(&b));
                 let t = self.bus_read(start, TrafficClass::HashRead);
                 arrival = arrival.max(t.complete);
             }
             self.stats.verifications += 1;
             let verified = self.schedule_chunk_hash(arrival, layout.chunk_bytes(), "verify");
-            // The old ancestor content is checked before the rewrite, so
-            // taint on it is detected *before* the write-back heals it.
-            self.verify_tamper(verified, ancestor, &blocks);
-            for &b in &blocks {
-                self.clear_taint(b);
-            }
+            self.verify_tamper(verified, ancestor, first_taint);
             let rehash = self.schedule_chunk_hash(
                 verified.max(prev_hash_done),
                 layout.chunk_bytes(),
@@ -1026,12 +1031,15 @@ impl L2Controller {
         let mut demand_arrival = t0;
         let mut demand_timing = None;
         let mut chunk_arrival = t0;
-        let mut gathered = Vec::new();
+        // Only the blocks actually read from memory can expose taint;
+        // resident-clean blocks are served from the (trusted) cache and
+        // their corrupted memory copies wait for a later refetch.
+        let mut first_taint = None;
         for j in 0..layout.blocks_per_chunk() {
             let b = layout.chunk_addr(chunk) + j as u64 * self.line_bytes();
             let resident_clean = self.l2.dirty(b) == Some(false);
             if b == block || !resident_clean {
-                gathered.push(b);
+                first_taint = first_taint.or_else(|| self.tainted.contains(&b).then_some(b));
                 let class = if b == block {
                     self.stats.data_fetches += 1;
                     TrafficClass::DataRead
@@ -1091,10 +1099,7 @@ impl L2Controller {
             chunk,
             done: verify_done,
         });
-        // Only the blocks actually read from memory can expose taint;
-        // resident-clean blocks are served from the (trusted) cache and
-        // their corrupted memory copies wait for a later refetch.
-        self.verify_tamper(verify_done, chunk, &gathered);
+        self.verify_tamper(verify_done, chunk, first_taint);
         self.note_verification(verify_done);
 
         let shape = MissShape {
@@ -1139,12 +1144,13 @@ impl L2Controller {
                 // them as hash lines, verify the parent in the background.
                 let mut arrival = t;
                 let mut slot_arrival = t;
-                let mut gathered = Vec::new();
+                let mut first_taint = None;
                 for j in 0..layout.blocks_per_chunk() {
                     let b = layout.chunk_addr(parent) + j as u64 * self.line_bytes();
                     let resident_clean = self.l2.dirty(b) == Some(false);
                     if b == slot_block || !resident_clean {
-                        gathered.push(b);
+                        first_taint =
+                            first_taint.or_else(|| self.tainted.contains(&b).then_some(b));
                         self.stats.hash_fetches += 1;
                         let bt = self.bus_read(t, TrafficClass::HashRead);
                         self.emit(CheckerEvent::HashFetch {
@@ -1183,7 +1189,7 @@ impl L2Controller {
                 });
                 // Corrupted hash-chunk blocks (metadata attacks) fail the
                 // parent's own verification here.
-                self.verify_tamper(verify_done, parent, &gathered);
+                self.verify_tamper(verify_done, parent, first_taint);
                 self.note_verification(verify_done);
                 (slot_ready, depth + 1, reached_root)
             }
@@ -1231,16 +1237,18 @@ impl L2Controller {
 
         // chash / mhash: assemble the chunk (fetch + check any blocks not
         // resident), write the dirty blocks, hash the new image, store it
-        // in the parent through a normal Write.
+        // in the parent through a normal Write. Gathered blocks are sealed
+        // into the new chunk hash as read, so reading one consumes its
+        // taint (the parent walk below reads only other chunks' blocks).
         let mut arrival = start;
         let mut fetched = 0u64;
-        let mut gathered = Vec::new();
+        let mut first_taint = None;
         for j in 0..layout.blocks_per_chunk() {
             let b = layout.chunk_addr(chunk) + j as u64 * self.line_bytes();
             if b != ev.addr && !self.l2.contains(b) {
                 self.stats.extra_data_fetches += 1;
                 fetched += 1;
-                gathered.push(b);
+                first_taint = first_taint.or(self.tainted.take(&b));
                 let bt = self.bus_read(start, class_for(ev.kind, true));
                 arrival = arrival.max(bt.complete);
             }
@@ -1251,15 +1259,10 @@ impl L2Controller {
             let h = self.schedule_chunk_hash(arrival, layout.chunk_bytes(), "verify");
             let (p, _, _) = self.fetch_slot(arrival, chunk, false);
             let checked = h.max(p);
-            self.verify_tamper(checked, chunk, &gathered);
+            self.verify_tamper(checked, chunk, first_taint);
             self.note_verification(checked);
         }
-        // Gathered blocks are sealed into the new chunk hash as read, and
-        // the evicted block overwrites its memory copy: any remaining
-        // taint on either is no longer observable through this chunk.
-        for &b in &gathered {
-            self.clear_taint(b);
-        }
+        // The evicted block overwrites its memory copy.
         self.clear_taint(ev.addr);
 
         // Write the evicted (dirty) block; sibling dirty blocks stay
@@ -1366,18 +1369,17 @@ impl L2Controller {
         self.verify_horizon = self.verify_horizon.max(done);
     }
 
-    /// Flags a verification of `chunk` completing at `at` that covered
-    /// the given memory `blocks`: if any of them carries taint — or the
+    /// Flags a verification of `chunk` completing at `at`, given the
+    /// first tainted memory block it read (if any): if one was — or the
     /// chunk's MAC is inconsistent from a poisoned incremental update —
     /// the check fails against the corrupted bytes and the detection is
     /// recorded. Taint is *not* cleared here: the corruption stays in
     /// memory and keeps failing until a write-back overwrites it.
-    fn verify_tamper(&mut self, at: Cycle, chunk: u64, blocks: &[u64]) {
-        let hit = blocks.iter().copied().find(|b| self.tainted.contains(b));
-        if hit.is_none() && !self.mac_inconsistent.contains(&chunk) {
+    fn verify_tamper(&mut self, at: Cycle, chunk: u64, first_taint: Option<u64>) {
+        if first_taint.is_none() && !self.mac_inconsistent.contains(&chunk) {
             return;
         }
-        let addr = hit.unwrap_or_else(|| self.layout.map_or(0, |l| l.chunk_addr(chunk)));
+        let addr = first_taint.unwrap_or_else(|| self.layout.map_or(0, |l| l.chunk_addr(chunk)));
         self.detections.push(TamperDetection {
             cycle: at,
             chunk,
@@ -1738,6 +1740,21 @@ mod tests {
                 line_bytes: 64,
             }
         );
+    }
+
+    #[test]
+    fn zero_buffer_entries_rejected() {
+        for scheme in Scheme::ALL {
+            let mut cfg = CheckerConfig::hpca03(scheme);
+            cfg.buffer_entries = 0;
+            let err = L2Controller::try_new(
+                cfg,
+                CacheConfig::l2(1 << 20, 64),
+                MemoryBusConfig::default(),
+            )
+            .expect_err("a checker needs at least one buffer entry");
+            assert_eq!(err, ConfigError::ZeroSize { what: "buffer" });
+        }
     }
 
     #[test]

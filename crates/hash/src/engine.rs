@@ -21,6 +21,12 @@ pub const PIPELINE_BLOCK_BYTES: u64 = 64;
 /// Core clock frequency assumed by [`Throughput`] conversions (Table 1).
 pub const CORE_CLOCK_GHZ: f64 = 1.0;
 
+/// Longest per-block issue interval [`Throughput::try_gbps`] accepts
+/// (about 4.3 s at the 1 GHz clock). The bound keeps the hash unit's
+/// cycle arithmetic — start plus occupancy plus latency, summed over a
+/// run's bookings — far from `u64` overflow.
+pub const MAX_CYCLES_PER_BLOCK: u64 = u32::MAX as u64;
+
 /// Hash-unit throughput, stored as the issue interval for one 64-byte
 /// pipeline block.
 ///
@@ -50,18 +56,32 @@ impl Throughput {
     ///
     /// # Panics
     ///
-    /// Panics if `gbps` is not positive or the implied interval rounds to
-    /// zero cycles.
+    /// Panics if [`try_gbps`](Self::try_gbps) rejects `gbps`.
     pub fn gbps(gbps: f64) -> Self {
-        assert!(gbps > 0.0, "throughput must be positive");
-        let cycles = (PIPELINE_BLOCK_BYTES as f64 / (gbps / CORE_CLOCK_GHZ)).round() as u64;
-        assert!(
-            cycles >= 1,
-            "throughput too high to model (interval rounds to 0)"
-        );
-        Throughput {
-            cycles_per_block: cycles,
+        Self::try_gbps(gbps).expect("throughput must be positive and within the modelled range")
+    }
+
+    /// The fallible form of [`gbps`](Self::gbps), for user-supplied rates.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ThroughputError`] if `gbps` is not a finite positive
+    /// number, or if the per-block issue interval it implies rounds to
+    /// zero cycles or exceeds [`MAX_CYCLES_PER_BLOCK`].
+    pub fn try_gbps(gbps: f64) -> Result<Self, ThroughputError> {
+        if !(gbps.is_finite() && gbps > 0.0) {
+            return Err(ThroughputError::NotPositive(gbps));
         }
+        let cycles = (PIPELINE_BLOCK_BYTES as f64 / (gbps / CORE_CLOCK_GHZ)).round();
+        if cycles < 1.0 {
+            return Err(ThroughputError::TooFast(gbps));
+        }
+        if cycles > MAX_CYCLES_PER_BLOCK as f64 {
+            return Err(ThroughputError::TooSlow(gbps));
+        }
+        Ok(Throughput {
+            cycles_per_block: cycles as u64,
+        })
     }
 
     /// Creates a throughput directly from the per-64-byte issue interval.
@@ -92,6 +112,41 @@ impl Throughput {
         blocks * self.cycles_per_block
     }
 }
+
+/// Why [`Throughput::try_gbps`] rejected a GB/s figure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ThroughputError {
+    /// Not a finite positive number (zero, negative, infinite or NaN).
+    NotPositive(f64),
+    /// So fast that a 64-byte block would issue in under one cycle.
+    TooFast(f64),
+    /// So slow that a 64-byte block would occupy the unit for more than
+    /// [`MAX_CYCLES_PER_BLOCK`] cycles.
+    TooSlow(f64),
+}
+
+impl std::fmt::Display for ThroughputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ThroughputError::NotPositive(gbps) => write!(
+                f,
+                "hash throughput must be a finite positive number of GB/s, got {gbps:?}"
+            ),
+            ThroughputError::TooFast(gbps) => write!(
+                f,
+                "hash throughput of {gbps:?} GB/s is too high to model: a 64 B block \
+                 would issue in under one cycle"
+            ),
+            ThroughputError::TooSlow(gbps) => write!(
+                f,
+                "hash throughput of {gbps:?} GB/s is too low to model: a 64 B block \
+                 would take more than {MAX_CYCLES_PER_BLOCK} cycles"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ThroughputError {}
 
 /// Configuration for the hash unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +205,36 @@ mod tests {
     #[should_panic(expected = "throughput must be positive")]
     fn zero_throughput_rejected() {
         let _ = Throughput::gbps(0.0);
+    }
+
+    #[test]
+    fn try_gbps_rejects_unmodellable_rates() {
+        for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                Throughput::try_gbps(gbps),
+                Err(ThroughputError::NotPositive(_))
+            ));
+        }
+        assert_eq!(
+            Throughput::try_gbps(1000.0),
+            Err(ThroughputError::TooFast(1000.0))
+        );
+        assert_eq!(
+            Throughput::try_gbps(1e-300),
+            Err(ThroughputError::TooSlow(1e-300))
+        );
+        // The extremes that still fit: one cycle per block, and the
+        // longest interval accepted.
+        assert_eq!(
+            Throughput::try_gbps(64.0).map(|t| t.cycles_per_block()),
+            Ok(1)
+        );
+        let slowest = PIPELINE_BLOCK_BYTES as f64 / MAX_CYCLES_PER_BLOCK as f64;
+        assert_eq!(
+            Throughput::try_gbps(slowest).map(|t| t.cycles_per_block()),
+            Ok(MAX_CYCLES_PER_BLOCK)
+        );
+        assert_eq!(Throughput::try_gbps(3.2), Ok(Throughput::TABLE1));
     }
 
     #[test]

@@ -108,5 +108,5 @@ pub mod xormac;
 pub mod xtea;
 
 pub use digest::{ChunkHasher, Digest, HashAlgo, Md5Hasher, Sha1Hasher, Sha256Hasher, BATCH_LANES};
-pub use engine::{HashEngineConfig, Throughput};
+pub use engine::{HashEngineConfig, Throughput, ThroughputError};
 pub use xormac::XorMac;

@@ -9,8 +9,6 @@
 //! occupancy in the earliest gap at or after its ready time, exactly as a
 //! real arbiter granting an idle bus would.
 
-use std::collections::BTreeMap;
-
 /// A timeline of non-overlapping busy intervals with earliest-gap
 /// placement.
 ///
@@ -27,12 +25,15 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntervalSchedule {
-    /// start → end of each busy interval (non-overlapping).
-    busy: BTreeMap<u64, u64>,
+    /// `(start, end)` of each busy interval, sorted by start. Intervals
+    /// neither overlap nor touch: touching ones are coalesced on insert.
+    /// Bookings land at or near the tail, so a sorted `Vec` answers most
+    /// of them from its last element.
+    busy: Vec<(u64, u64)>,
     /// Low-water mark: intervals ending before this can be pruned.
     low_water: u64,
     /// Adaptive prune trigger: doubled whenever pruning cannot shrink the
-    /// map (avoids O(n) retain on every insert during booking bursts).
+    /// list (avoids an O(n) prune on every insert during booking bursts).
     prune_at: usize,
     /// Total cycles of intervals dropped by pruning (all of which ended
     /// before the low-water mark), so [`busy_through`](Self::busy_through)
@@ -50,7 +51,7 @@ impl IntervalSchedule {
     /// Creates an empty (fully idle) schedule.
     pub fn new() -> Self {
         IntervalSchedule {
-            busy: BTreeMap::new(),
+            busy: Vec::new(),
             low_water: 0,
             prune_at: 4096,
             pruned_cycles: 0,
@@ -65,45 +66,43 @@ impl IntervalSchedule {
     /// Panics if `duration` is zero.
     pub fn book(&mut self, ready: u64, duration: u64) -> u64 {
         assert!(duration > 0, "zero-length booking");
+        // `i` indexes the first interval starting after `ready`, so
+        // `busy[i - 1]` is the only one that can contain it. Nearly every
+        // booking lands at or after the last interval's start.
+        let mut i = match self.busy.last() {
+            Some(&(start, _)) if start <= ready => self.busy.len(),
+            _ => self.busy.partition_point(|&(start, _)| start <= ready),
+        };
         let mut t = ready;
-        // Start from the interval that could overlap `t`: the last one
-        // beginning at or before it.
-        if let Some((_, &end)) = self.busy.range(..=t).next_back() {
-            if end > t {
-                t = end;
-            }
+        if i > 0 {
+            t = t.max(self.busy[i - 1].1);
         }
         // Walk forward through later intervals until a gap fits.
-        for (&start, &end) in self.busy.range(t..) {
+        while let Some(&(start, end)) = self.busy.get(i) {
             if t + duration <= start {
                 break;
             }
             t = t.max(end);
+            i += 1;
         }
-        // Insert [t, t+duration), coalescing with touching neighbours so a
-        // densely packed region stays a single interval — this keeps the
-        // gap walk O(number of gaps) instead of O(number of bookings),
-        // which matters when write-back avalanches book thousands of
-        // transfers around the same timestamp.
-        let mut start = t;
-        let mut end = t + duration;
-        if let Some((&ps, &pe)) = self.busy.range(..=start).next_back() {
-            if pe == start {
-                self.busy.remove(&ps);
-                start = ps;
-            }
+        // Insert [t, t+duration) at `i`, coalescing with touching
+        // neighbours so a densely packed region stays a single interval —
+        // this keeps the gap walk O(number of gaps) instead of O(number
+        // of bookings), which matters when write-back avalanches book
+        // thousands of transfers around the same timestamp.
+        let end = t + duration;
+        let joins_prev = i > 0 && self.busy[i - 1].1 == t;
+        let joins_next = self.busy.get(i).is_some_and(|&(start, _)| start == end);
+        match (joins_prev, joins_next) {
+            (true, true) => self.busy[i - 1].1 = self.busy.remove(i).1,
+            (true, false) => self.busy[i - 1].1 = end,
+            (false, true) => self.busy[i].0 = t,
+            (false, false) => self.busy.insert(i, (t, end)),
         }
-        if let Some((&ns, &ne)) = self.busy.range(end..).next() {
-            if ns == end {
-                self.busy.remove(&ns);
-                end = ne;
-            }
-        }
-        self.busy.insert(start, end);
         if self.busy.len() > self.prune_at {
             self.prune();
             // If nothing was prunable, back off so bursts of future
-            // bookings do not pay an O(n) retain per insert.
+            // bookings do not pay an O(n) prune per insert.
             self.prune_at = (self.busy.len() * 2).max(4096);
         }
         t
@@ -115,7 +114,7 @@ impl IntervalSchedule {
         self.low_water = self.low_water.max(time);
     }
 
-    /// Total booked cycles currently retained (for tests).
+    /// Number of busy intervals currently retained (for tests).
     pub fn retained(&self) -> usize {
         self.busy.len()
     }
@@ -129,11 +128,11 @@ impl IntervalSchedule {
     /// Exact for any `t` at or above the low-water mark when pruning last
     /// ran (pruned intervals, counted in full, all ended before it).
     pub fn busy_through(&self, t: u64) -> u64 {
+        let begun = self.busy.partition_point(|&(start, _)| start < t);
         self.pruned_cycles
-            + self
-                .busy
-                .range(..t)
-                .map(|(&start, &end)| end.min(t) - start)
+            + self.busy[..begun]
+                .iter()
+                .map(|&(start, end)| end.min(t) - start)
                 .sum::<u64>()
     }
 
@@ -145,18 +144,16 @@ impl IntervalSchedule {
         self.pruned_cycles = 0;
     }
 
+    /// Drops the intervals that ended before the low-water mark: sorted
+    /// and disjoint, they form a prefix of the list.
     fn prune(&mut self) {
         let keep = self.low_water;
-        let mut freed = 0u64;
-        self.busy.retain(|&start, end| {
-            if *end >= keep {
-                true
-            } else {
-                freed += *end - start;
-                false
-            }
-        });
-        self.pruned_cycles += freed;
+        let ended = self.busy.partition_point(|&(_, end)| end < keep);
+        self.pruned_cycles += self
+            .busy
+            .drain(..ended)
+            .map(|(start, end)| end - start)
+            .sum::<u64>();
     }
 }
 

@@ -15,7 +15,10 @@ struct RefSchedule {
 impl RefSchedule {
     fn book(&mut self, ready: u64, duration: u64) -> u64 {
         let mut t = ready;
-        for &(s, e) in &self.busy {
+        // Intervals ending by `ready` cannot delay it; disjoint intervals
+        // sorted by start are sorted by end too, so they form a prefix.
+        let ended = self.busy.partition_point(|&(_, e)| e <= ready);
+        for &(s, e) in &self.busy[ended..] {
             if e <= t {
                 continue;
             }
@@ -28,6 +31,38 @@ impl RefSchedule {
         self.busy.insert(pos, (t, t + duration));
         t
     }
+
+    /// Busy cycles elapsed by `t`: each interval's overlap with `[0, t)`.
+    fn busy_through(&self, t: u64) -> u64 {
+        self.busy
+            .iter()
+            .map(|&(s, e)| e.min(t).saturating_sub(s))
+            .sum()
+    }
+
+    /// Maximal busy runs: the intervals left once touching ones merge.
+    fn runs(&self) -> usize {
+        let touching = self.busy.windows(2).filter(|w| w[0].1 == w[1].0).count();
+        self.busy.len() - touching
+    }
+}
+
+/// Books `(ready, duration)` on both schedules and asserts they place it
+/// at the same cycle; returns whether the booking pruned the schedule
+/// (coalescing alone changes the retained count by at most one).
+fn book_both(
+    sut: &mut IntervalSchedule,
+    reference: &mut RefSchedule,
+    ready: u64,
+    duration: u64,
+) -> bool {
+    let before = sut.retained();
+    assert_eq!(
+        sut.book(ready, duration),
+        reference.book(ready, duration),
+        "ready={ready} duration={duration}"
+    );
+    sut.retained() + 1 < before
 }
 
 /// The production scheduler places every booking exactly where the
@@ -45,6 +80,69 @@ fn matches_reference() {
             assert_eq!(sut.book(ready, dur), reference.book(ready, dur));
         }
     }
+}
+
+/// At the scale the simulator books — prewarm-style bursts at one ready
+/// time, strided 20-cycle hashes behind 40-cycle transfers and random
+/// gap-fills, 40,000 bookings under an advancing low-water mark, enough
+/// for several prunes — placements and `busy_through` at or above the
+/// low-water mark still match the reference model, and the schedule
+/// never holds more intervals than the reference's busy runs.
+#[test]
+fn matches_reference_at_scale_across_prunes() {
+    const WINDOW: u64 = 300_000;
+    let mut rng = Rng::seed_from_u64(0x9e3e);
+    let mut sut = IntervalSchedule::new();
+    let mut reference = RefSchedule::default();
+    let mut now = 0u64;
+    let mut prunes = 0;
+    let mut round = 0u64;
+    while reference.busy.len() < 40_000 {
+        round += 1;
+        // The core issues in time order, so the low-water mark trails
+        // `now`; it holds still at first, as during the prewarm.
+        if round > 100 {
+            now += rng.gen_range_u64(0, 4_000);
+            sut.advance_low_water(now);
+        }
+        let mut pruned = false;
+        match rng.gen_range_usize(0, 4) {
+            0 => {
+                // Prewarm-style burst: many bookings at one ready time.
+                let ready = now + rng.gen_range_u64(0, 200);
+                for _ in 0..rng.gen_range_usize(8, 64) {
+                    let duration = if rng.gen_bool(0.5) { 20 } else { 40 };
+                    pruned |= book_both(&mut sut, &mut reference, ready, duration);
+                }
+            }
+            1 | 2 => {
+                // A chain far ahead: one 20-cycle hash per 40-cycle transfer.
+                let base = now + rng.gen_range_u64(0, WINDOW);
+                for k in 0..rng.gen_range_u64(8, 64) {
+                    pruned |= book_both(&mut sut, &mut reference, base + 40 * k, 20);
+                }
+            }
+            _ => {
+                // Gap-fills: demand misses just ahead of `now`, background
+                // work anywhere in the window.
+                for _ in 0..rng.gen_range_usize(1, 16) {
+                    let ahead = if rng.gen_bool(0.5) { 200 } else { WINDOW };
+                    let ready = now + rng.gen_range_u64(0, ahead);
+                    let duration = rng.gen_range_u64(1, 100);
+                    pruned |= book_both(&mut sut, &mut reference, ready, duration);
+                }
+            }
+        }
+        prunes += usize::from(pruned);
+        if pruned || round.is_multiple_of(16) {
+            // Only queries at or above the low-water mark are exact.
+            for t in [now, now + rng.gen_range_u64(0, WINDOW), now + 2 * WINDOW] {
+                assert_eq!(sut.busy_through(t), reference.busy_through(t), "t={t}");
+            }
+            assert!(sut.retained() <= reference.runs());
+        }
+    }
+    assert!(prunes >= 2, "only {prunes} prunes");
 }
 
 /// Bookings never overlap: replaying the grant times against their

@@ -314,13 +314,16 @@ impl Options {
     }
 
     /// The machine for `scheme`, pre-flighted through the fallible
-    /// constructors: a bad `--l2`/`--line` geometry is a CLI error, not
-    /// a panic.
+    /// constructors: a bad `--l2`/`--line` geometry, `--hash-gbps` rate
+    /// or `--buffers` count is a CLI error, not a panic.
     fn system_config(&self, scheme: Scheme) -> Result<SystemConfig, String> {
-        let invalid = |e| format!("invalid configuration: {e}");
+        fn invalid(e: impl std::fmt::Display) -> String {
+            format!("invalid configuration: {e}")
+        }
+        let throughput = Throughput::try_gbps(self.hash_gbps).map_err(invalid)?;
         let mut cfg = SystemConfig::try_hpca03(scheme, self.l2, self.line)
             .map_err(invalid)?
-            .with_hash_throughput(Throughput::gbps(self.hash_gbps))
+            .with_hash_throughput(throughput)
             .with_buffer_entries(self.buffers);
         cfg.checker.block_on_verify = self.block_on_verify;
         cfg.checker.write_allocate_no_fetch = self.write_alloc_opt;

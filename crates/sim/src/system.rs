@@ -136,8 +136,13 @@ impl System {
     /// so capacity behaviour (rather than compulsory misses over the slow
     /// stochastic coverage of the footprint) governs the measurement
     /// window. Bounded to a few multiples of the L2 so huge streaming
-    /// footprints stay cheap. Timing state and statistics are discarded
-    /// by the warm-up reset in [`run`](Self::run).
+    /// footprints stay cheap. Statistics are discarded by the warm-up
+    /// reset in [`run`](Self::run), but timing state is not: every load
+    /// issues at cycle 0 and `reset_stats` keeps the bus and hash-unit
+    /// bookings and the buffer reservations, so the first accesses after
+    /// the prewarm queue behind its traffic. Short warm-ups (`--quick`)
+    /// do not absorb that backlog; EXPERIMENTS.md lists it under known
+    /// deviations.
     fn prewarm(&mut self) {
         use miv_cpu::MemoryPort;
         let hierarchy = self.core.port_mut();

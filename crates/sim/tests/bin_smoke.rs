@@ -302,6 +302,19 @@ fn mivsim_rejects_bad_args() {
             "cache size must be a power of two",
         ),
         (&["run", "--scheme", "chash", "--line", "16"][..], "arity"),
+        // Bad hash-unit rates and buffer counts are CLI errors too, and a
+        // rate too slow to model is rejected rather than simulated with
+        // wrapped cycle arithmetic.
+        (&["run", "--hash-gbps", "0"][..], "finite positive"),
+        (&["run", "--hash-gbps", "-1"][..], "finite positive"),
+        (&["run", "--hash-gbps", "nan"][..], "finite positive"),
+        (&["run", "--hash-gbps", "inf"][..], "finite positive"),
+        (&["run", "--hash-gbps", "1000"][..], "too high to model"),
+        (&["run", "--hash-gbps", "1e-300"][..], "too low to model"),
+        (&["sweep", "--hash-gbps", "0"][..], "finite positive"),
+        (&["sweep", "--hash-gbps", "1e-300"][..], "too low to model"),
+        (&["run", "--buffers", "0"][..], "buffer size must"),
+        (&["sweep", "--buffers", "0"][..], "buffer size must"),
     ] {
         let (ok, _, stderr) = run(exe, args);
         assert!(!ok, "{args:?} must fail");
