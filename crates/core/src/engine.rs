@@ -1305,21 +1305,6 @@ impl VerifiedMemory {
         self.mem.read_vec(phys, len)
     }
 
-    /// Replaces the on-chip secure root (state restoration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot count differs from the layout's.
-    pub(crate) fn restore_secure_root(&mut self, slots: &[[u8; DIGEST_BYTES]]) {
-        assert_eq!(
-            slots.len(),
-            self.secure.len(),
-            "secure-root slot count mismatch"
-        );
-        self.end_epoch();
-        self.secure.copy_from_slice(slots);
-    }
-
     /// Recomputes `chunk`'s slot from its current memory image (the §5.7
     /// rebuild step), flushing any remaining dirty cached blocks of the
     /// chunk to memory first so the slot covers one coherent image. For

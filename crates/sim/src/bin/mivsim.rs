@@ -18,15 +18,17 @@
 //!
 //! # record 1M instructions of a benchmark trace to a file, then replay it
 //! mivsim record --bench gzip --count 1000000 --out gzip.trc
-//! mivsim run --scheme naive --trace gzip.trc --working-set 640K
+//! mivsim run --scheme naive --trace gzip.trc
 //! ```
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use miv_adversary::{CampaignSpec, OfflineSpec};
 use miv_core::timing::Scheme;
+use miv_cpu::{TraceInst, TraceOp};
 use miv_hash::{HashAlgo, Throughput};
 use miv_obs::JsonValue;
 use miv_sim::attack::{
@@ -49,7 +51,7 @@ use miv_sim::store::{
     run_store_bench, store_bench_document, store_fsck_document, store_soak_document, StoreSpec,
 };
 use miv_sim::telemetry::Sample;
-use miv_sim::{RunRequest, RunResult, SweepRunner, System, SystemConfig, Telemetry, Workload};
+use miv_sim::{RunRequest, RunResult, SweepRunner, SystemConfig, Telemetry, Workload};
 use miv_trace::{Benchmark, Profile};
 
 const USAGE: &str = "\
@@ -73,8 +75,8 @@ options:
   --scheme base|naive|chash|mhash|ihash   (run; default chash)
   --bench gcc|gzip|mcf|twolf|vortex|vpr|applu|art|swim  (default gzip)
   --custom SPEC           synthetic workload, e.g. ws=8M,hot=64K,mem=0.4,run=512
-  --trace FILE            replay a recorded trace instead of --bench
-  --working-set BYTES     protected footprint for --trace runs (e.g. 8M)
+  --trace FILE            replay a recorded trace instead of --bench: no
+                          prewarm, warm-up from its head, measure the rest
   --l2 SIZE               L2 capacity, e.g. 256K, 1M, 4M (default 1M)
   --line 64|128           L2 line size (default 64)
   --warmup N / --measure N / --seed N
@@ -85,8 +87,7 @@ options:
                           comparable across units)
   --buffers N             read/write buffer entries (default 16)
   --policy lru|fifo|random             L2 replacement policy
-  --jobs N                sweep worker threads (0 or omitted: one per core;
-                          --trace replays always run sequentially)
+  --jobs N                sweep worker threads (0 or omitted: one per core)
   --protected SIZE        protected segment size (default 256M)
   --block-on-verify       disable speculative use of unverified data
   --no-write-alloc-opt    disable the whole-line overwrite optimization
@@ -126,7 +127,6 @@ struct Options {
     bench: Option<Benchmark>,
     custom: Option<Profile>,
     trace: Option<String>,
-    working_set: u64,
     l2: u64,
     line: u32,
     warmup: u64,
@@ -176,7 +176,6 @@ impl Options {
             bench: None,
             custom: None,
             trace: None,
-            working_set: 8 << 20,
             l2: 1 << 20,
             line: 64,
             warmup: 50_000,
@@ -225,10 +224,6 @@ impl Options {
                     o.custom = Some(parse_custom_profile(&v)?);
                 }
                 "--trace" => o.trace = Some(value("--trace")?),
-                "--working-set" => {
-                    let v = value("--working-set")?;
-                    o.working_set = parse_size(&v).ok_or_else(|| format!("bad size {v}"))?;
-                }
                 "--l2" => {
                     let v = value("--l2")?;
                     o.l2 = parse_size(&v).ok_or_else(|| format!("bad size {v}"))?;
@@ -333,97 +328,59 @@ impl Options {
         Ok(cfg)
     }
 
-    /// Runs one scheme on the selected workload, recording into
-    /// `telemetry` when provided.
-    fn run_one(
-        &self,
-        scheme: Scheme,
-        telemetry: Option<&Telemetry>,
-    ) -> Result<(RunResult, Vec<Sample>), String> {
-        if let Some(path) = &self.trace {
-            let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let reader = miv_trace::file::read_trace(BufReader::new(file))
-                .map_err(|e| format!("{path}: {e}"))?;
-            let insts: Result<Vec<_>, _> = reader.collect();
-            let insts = insts.map_err(|e| format!("{path}: {e}"))?;
-            // Replay through a custom profile-free system: reuse System by
-            // constructing a profile wrapper is not possible for raw
-            // traces, so drive the core directly (one sample for the run).
-            let cfg = self.system_config(scheme)?;
-            let mut hierarchy = miv_sim::Hierarchy::new(&cfg);
-            if let Some(t) = telemetry {
-                hierarchy.attach_observability(t.registry(), t.events().sink());
+    /// The selected workload. A `--trace` file is read once here and
+    /// shared by every scheme's request; an address outside the
+    /// protected segment is a CLI error, not a checker panic.
+    fn workload(&self) -> Result<Workload, String> {
+        let Some(path) = &self.trace else {
+            return match (self.custom, self.bench) {
+                (Some(profile), _) => Ok(profile.into()),
+                (None, Some(bench)) => Ok(bench.into()),
+                (None, None) => Err("need --bench, --custom or --trace".into()),
+            };
+        };
+        let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        let insts = miv_trace::file::read_trace(BufReader::new(file))
+            .and_then(Iterator::collect::<Result<Arc<[TraceInst]>, _>>)
+            .map_err(|e| format!("{path}: {e}"))?;
+        let outside = insts.iter().find_map(|inst| match inst.op {
+            TraceOp::Load { addr, .. } | TraceOp::Store { addr, .. } => {
+                (addr >= self.protected).then_some(addr)
             }
-            let mut core = miv_cpu::Core::new(cfg.core, hierarchy);
-            let warm = (self.warmup as usize).min(insts.len());
-            core.run(insts[..warm].iter().copied());
-            core.port_mut().reset_stats();
-            let busy0 = {
-                let now = core.now();
-                core.port().l2().bus_busy_through(now)
-            };
-            let stats = core.run(insts[warm..].iter().copied());
-            let busy = {
-                let now = core.now();
-                core.port().l2().bus_busy_through(now) - busy0
-            };
-            let l2 = core.port().l2().l2_stats();
-            let bus = core.port().l2().bus_stats();
-            let checker = core.port().l2().stats();
-            let hash_hit_rate = if l2.hash.accesses() == 0 {
-                1.0
-            } else {
-                l2.hash.hits() as f64 / l2.hash.accesses() as f64
-            };
-            let result = RunResult {
-                scheme: scheme.label().into(),
-                benchmark: path.clone(),
-                instructions: stats.instructions,
-                cycles: stats.cycles,
-                ipc: stats.ipc(),
-                l2_data_miss_rate: l2.data.miss_rate(),
-                l2_data_misses: l2.data.misses(),
-                hash_hit_rate,
-                extra_loads_per_miss: if l2.data.misses() == 0 {
-                    0.0
-                } else {
-                    checker.extra_loads() as f64 / l2.data.misses() as f64
-                },
-                bus_bytes: bus.total_bytes(),
-                hash_bytes: bus.hash_bytes(),
-                bandwidth_gbps: if stats.cycles == 0 {
-                    0.0
-                } else {
-                    bus.total_bytes() as f64 / stats.cycles as f64
-                },
-                l2_hash_occupancy: 0.0,
-                read_buffer_wait: checker.read_buffer_wait,
-            };
-            let samples = vec![Sample {
-                instructions: stats.instructions,
-                cycles: stats.cycles,
-                ipc: stats.ipc(),
-                l2_data_hit_rate: 1.0 - l2.data.miss_rate(),
-                l2_hash_hit_rate: hash_hit_rate,
-                bus_utilization: if stats.cycles == 0 {
-                    0.0
-                } else {
-                    busy as f64 / stats.cycles as f64
-                },
-            }];
-            Ok((result, samples))
-        } else {
-            let mut sys = if let Some(profile) = self.custom {
-                System::new(self.system_config(scheme)?, profile, self.common.seed)
-            } else {
-                let bench = self.bench.ok_or("need --bench, --custom or --trace")?;
-                System::for_benchmark(self.system_config(scheme)?, bench, self.common.seed)
-            };
-            if let Some(t) = telemetry {
-                sys.attach_telemetry(t);
-            }
-            Ok(sys.run_sampled(self.warmup, self.measure, self.sample_interval))
+            TraceOp::Compute { .. } | TraceOp::Branch { .. } | TraceOp::CryptoBarrier => None,
+        });
+        match outside {
+            Some(addr) => Err(format!(
+                "{path}: address {addr:#x} is outside the {}-byte protected segment \
+                 (raise --protected)",
+                self.protected
+            )),
+            None => Ok(Workload::Trace {
+                name: path.as_str().into(),
+                insts,
+            }),
         }
+    }
+
+    /// The request that runs `workload` on `scheme`'s machine. A trace
+    /// warms up on its first `--warmup` instructions and measures the
+    /// rest, whatever `--measure` says.
+    fn request(&self, scheme: Scheme, workload: &Workload) -> Result<RunRequest, String> {
+        let (warmup, measure) = match workload {
+            Workload::Trace { insts, .. } => {
+                let warmup = self.warmup.min(insts.len() as u64);
+                (warmup, insts.len() as u64 - warmup)
+            }
+            Workload::Benchmark(_) | Workload::Profile(_) => (self.warmup, self.measure),
+        };
+        Ok(RunRequest::new(
+            self.system_config(scheme)?,
+            workload.clone(),
+            warmup,
+            measure,
+            self.common.seed,
+        )
+        .with_sample_interval(self.sample_interval))
     }
 
     /// Writes the metrics summary and/or event trace files, if requested.
@@ -498,64 +455,36 @@ fn main() -> ExitCode {
         }
     };
     let outcome = match opts.command.as_str() {
-        "run" => {
+        "run" => (|| {
             let telemetry = opts.wants_telemetry().then(Telemetry::new);
-            opts.run_one(opts.scheme, telemetry.as_ref())
-                .and_then(|(r, samples)| {
-                    print_results(std::slice::from_ref(&r), opts.common.json);
-                    match &telemetry {
-                        Some(t) => opts.write_telemetry(t, Some(&r), &samples),
-                        None => Ok(()),
-                    }
-                })
-        }
+            let request = opts.request(opts.scheme, &opts.workload()?)?;
+            let (r, samples) = request.run(telemetry.as_ref());
+            print_results(std::slice::from_ref(&r), opts.common.json);
+            match &telemetry {
+                Some(t) => opts.write_telemetry(t, Some(&r), &samples),
+                None => Ok(()),
+            }
+        })(),
         "sweep" => (|| {
             // One aggregate document across the five schemes: counters
             // sum, so the summary carries no single-run section.
             let telemetry = opts.wants_telemetry().then(Telemetry::new);
-            let results = if opts.trace.is_some() {
-                // Trace replay drives the core directly and shares the
-                // recorders, so it stays sequential regardless of --jobs.
-                let mut results = Vec::new();
-                for scheme in Scheme::ALL {
-                    let (r, _) = opts.run_one(scheme, telemetry.as_ref())?;
-                    results.push(r);
+            let workload = opts.workload()?;
+            let requests = Scheme::ALL
+                .iter()
+                .map(|&scheme| opts.request(scheme, &workload))
+                .collect::<Result<Vec<_>, String>>()?;
+            let mut runner = SweepRunner::new(opts.common.jobs);
+            if let Some(t) = &telemetry {
+                runner = runner.capture_telemetry(t.events().capacity());
+            }
+            let mut results = Vec::new();
+            for outcome in runner.run(&requests) {
+                if let (Some(t), Some(snap)) = (&telemetry, &outcome.telemetry) {
+                    t.absorb(snap);
                 }
-                results
-            } else {
-                let workload: Workload = match opts.custom {
-                    Some(profile) => profile.into(),
-                    None => opts
-                        .bench
-                        .ok_or("need --bench, --custom or --trace")?
-                        .into(),
-                };
-                let requests = Scheme::ALL
-                    .iter()
-                    .map(|&scheme| {
-                        Ok(RunRequest::new(
-                            opts.system_config(scheme)?,
-                            workload,
-                            opts.warmup,
-                            opts.measure,
-                            opts.common.seed,
-                        )
-                        .with_sample_interval(opts.sample_interval))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let mut runner = SweepRunner::new(opts.common.jobs);
-                if let Some(t) = &telemetry {
-                    runner = runner.capture_telemetry(t.events().capacity());
-                }
-                let mut results = Vec::new();
-                for outcome in runner.run(&requests) {
-                    if let (Some(t), Some(snap)) = (&telemetry, &outcome.telemetry) {
-                        t.absorb(snap);
-                    }
-                    results.push(outcome.result);
-                }
-                results
-            };
+                results.push(outcome.result);
+            }
             print_results(&results, opts.common.json);
             match &telemetry {
                 Some(t) => opts.write_telemetry(t, None, &[]),

@@ -42,37 +42,43 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use miv_cpu::TraceInst;
 use miv_trace::{Benchmark, Profile};
 
 use crate::config::SystemConfig;
 use crate::system::{RunResult, System};
 use crate::telemetry::{Sample, Telemetry, TelemetrySnapshot};
 
-/// What a [`RunRequest`] simulates: a named paper benchmark or a custom
-/// synthetic profile. Plain data, so requests can cross thread
-/// boundaries freely.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a [`RunRequest`] simulates: a named paper benchmark, a custom
+/// synthetic profile, or a recorded trace. Plain data, so requests can
+/// cross thread boundaries freely; a recorded trace is shared, not
+/// copied, by every request that replays it.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// One of the paper's SPEC-calibrated benchmarks.
     Benchmark(Benchmark),
     /// A custom synthetic profile (e.g. from `--custom`).
     Profile(Profile),
+    /// A recorded trace (e.g. from `--trace`), replayed without a
+    /// prewarm; see [`System::replay`].
+    Trace {
+        /// Display name, e.g. the trace file's path.
+        name: Arc<str>,
+        /// The recorded instructions.
+        insts: Arc<[TraceInst]>,
+    },
 }
 
 impl Workload {
-    /// The underlying trace profile.
-    pub fn profile(&self) -> Profile {
-        match self {
-            Workload::Benchmark(b) => b.profile(),
-            Workload::Profile(p) => *p,
-        }
-    }
-
     /// The workload's display name.
-    pub fn name(&self) -> &'static str {
-        self.profile().name
+    pub fn name(&self) -> &str {
+        match self {
+            Workload::Benchmark(b) => b.profile().name,
+            Workload::Profile(p) => p.name,
+            Workload::Trace { name, .. } => name,
+        }
     }
 }
 
@@ -91,7 +97,7 @@ impl From<Profile> for Workload {
 /// One simulation job: everything needed to build a machine, run it and
 /// measure it. Requests are plain data (`Send`), independent of each
 /// other, and fully determine their [`RunOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// The machine to build.
     pub config: SystemConfig,
@@ -101,7 +107,7 @@ pub struct RunRequest {
     pub warmup: u64,
     /// Measured instructions.
     pub measure: u64,
-    /// Trace seed.
+    /// Trace seed (unused by a recorded trace).
     pub seed: u64,
     /// Instructions per time-series sample; `0` takes a single sample
     /// covering the whole measurement window.
@@ -131,6 +137,20 @@ impl RunRequest {
     pub fn with_sample_interval(mut self, interval: u64) -> Self {
         self.sample_interval = interval;
         self
+    }
+
+    /// Builds the machine, attaches `telemetry` if given, and runs the
+    /// request on the calling thread.
+    pub fn run(&self, telemetry: Option<&Telemetry>) -> (RunResult, Vec<Sample>) {
+        let mut sys = match &self.workload {
+            Workload::Benchmark(b) => System::for_benchmark(self.config, *b, self.seed),
+            Workload::Profile(p) => System::new(self.config, *p, self.seed),
+            Workload::Trace { name, insts } => System::replay(self.config, name, insts.clone()),
+        };
+        if let Some(t) = telemetry {
+            sys.attach_telemetry(t);
+        }
+        sys.run_sampled(self.warmup, self.measure, self.sample_interval)
     }
 }
 
@@ -196,12 +216,7 @@ impl SweepRunner {
     /// Executes one request on the calling thread.
     fn execute(&self, request: &RunRequest) -> RunOutcome {
         let telemetry = self.event_capacity.map(Telemetry::with_event_capacity);
-        let mut sys = System::new(request.config, request.workload.profile(), request.seed);
-        if let Some(t) = &telemetry {
-            sys.attach_telemetry(t);
-        }
-        let (result, samples) =
-            sys.run_sampled(request.warmup, request.measure, request.sample_interval);
+        let (result, samples) = request.run(telemetry.as_ref());
         RunOutcome {
             result,
             samples,

@@ -1,6 +1,8 @@
 //! The assembled machine and measurement runs.
 
-use miv_cpu::Core;
+use std::sync::Arc;
+
+use miv_cpu::{Core, CoreStats, TraceInst};
 use miv_obs::JsonValue;
 use miv_trace::{Profile, TraceGenerator};
 
@@ -83,7 +85,9 @@ impl RunResult {
     }
 }
 
-/// A configured machine attached to one workload.
+/// A configured machine attached to one instruction source: a
+/// profile's seeded generator ([`new`](Self::new)) or a recorded trace
+/// ([`replay`](Self::replay)).
 ///
 /// # Examples
 ///
@@ -100,7 +104,7 @@ impl RunResult {
 #[derive(Debug)]
 pub struct System {
     core: Core<Hierarchy>,
-    trace: TraceGenerator,
+    source: Source,
     benchmark: String,
     scheme: String,
     prewarm_span: u64,
@@ -122,7 +126,7 @@ impl System {
         let hierarchy = Hierarchy::new(&config);
         System {
             core: Core::new(config.core, hierarchy),
-            trace: TraceGenerator::new(profile, seed),
+            source: Source::Generator(TraceGenerator::new(profile, seed)),
             benchmark: profile.name.to_string(),
             scheme: config.checker.scheme.label().to_string(),
             // The capacity-interesting (mid) region is what must be
@@ -161,6 +165,39 @@ impl System {
         Self::new(config, benchmark.profile(), seed)
     }
 
+    /// Builds a machine replaying a recorded trace from its first
+    /// instruction, reported under `name`. A trace has no profile
+    /// mid-set to prewarm, so the caches warm only through the run's
+    /// warm-up; the measurement window ends early if the trace runs dry.
+    ///
+    /// The checker panics on a load or store outside its protected
+    /// segment, so check the trace's addresses against
+    /// `config.checker.protected_bytes` first.
+    pub fn replay(config: SystemConfig, name: &str, insts: Arc<[TraceInst]>) -> Self {
+        System {
+            core: Core::new(config.core, Hierarchy::new(&config)),
+            source: Source::Recorded { insts, next: 0 },
+            benchmark: name.to_string(),
+            scheme: config.checker.scheme.label().to_string(),
+            prewarm_span: 0,
+            prewarmed: false,
+        }
+    }
+
+    /// Runs up to `n` instructions from the source through the core: all
+    /// `n` from a generator, fewer from a recorded trace near its end.
+    fn step(&mut self, n: u64) -> CoreStats {
+        let n = usize::try_from(n).expect("the instruction count fits usize");
+        match &mut self.source {
+            Source::Generator(trace) => self.core.run(trace.take(n)),
+            Source::Recorded { insts, next } => {
+                let batch = &insts[*next..insts.len().min(next.saturating_add(n))];
+                *next += batch.len();
+                self.core.run(batch.iter().copied())
+            }
+        }
+    }
+
     /// Attaches a metrics registry and event stream to every level of
     /// the machine (L1, L2, bus, hash unit, checker). Observation is
     /// behaviour-neutral: timing and the built-in statistics do not
@@ -182,6 +219,8 @@ impl System {
     /// per-interval time series (IPC, L2 data/hash hit rates, bus
     /// utilization) alongside the run totals. An `interval` of zero is
     /// treated as `measure` (a single sample covering the whole window).
+    /// A recorded trace that runs dry ends the window early: the result
+    /// then covers fewer than `measure` instructions.
     pub fn run_sampled(
         &mut self,
         warmup: u64,
@@ -193,10 +232,7 @@ impl System {
             self.prewarmed = true;
         }
         if warmup > 0 {
-            let trace = &mut self.trace;
-            self.core.run(
-                trace.take(usize::try_from(warmup).expect("the instruction count fits usize")),
-            );
+            self.step(warmup);
         }
         self.core.port_mut().reset_stats();
         let interval = if interval == 0 { measure } else { interval };
@@ -209,11 +245,10 @@ impl System {
             self.core.port().l2().bus_busy_through(now)
         };
         while instructions < measure {
-            let step = interval.min(measure - instructions);
-            let trace = &mut self.trace;
-            let stats = self
-                .core
-                .run(trace.take(usize::try_from(step).expect("the instruction count fits usize")));
+            let stats = self.step(interval.min(measure - instructions));
+            if stats.instructions == 0 {
+                break; // a recorded trace ran dry
+            }
             instructions += stats.instructions;
             cycles += stats.cycles;
             let l2 = *self.core.port().l2().l2_stats();
@@ -306,6 +341,19 @@ impl System {
     pub fn hierarchy(&self) -> &Hierarchy {
         self.core.port()
     }
+}
+
+/// Where a [`System`]'s instructions come from.
+#[derive(Debug)]
+enum Source {
+    /// A profile's seeded synthetic generator, which never runs dry.
+    Generator(TraceGenerator),
+    /// A recorded trace, shared with other machines replaying it and
+    /// consumed from index `next` onwards.
+    Recorded {
+        insts: Arc<[TraceInst]>,
+        next: usize,
+    },
 }
 
 #[cfg(test)]
@@ -452,27 +500,54 @@ mod tests {
         assert_eq!(merged, whole);
     }
 
+    /// A chash machine replaying the first `len` instructions of swim's
+    /// seed-7 stream.
+    fn recorded_swim(len: usize) -> System {
+        let mut cfg = SystemConfig::hpca03(Scheme::CHash, 256 << 10, 64);
+        cfg.checker.protected_bytes = 128 << 20;
+        let insts: Arc<[TraceInst]> = Benchmark::Swim.trace(7).take(len).collect();
+        System::replay(cfg, "swim.trc", insts)
+    }
+
     #[test]
     fn split_run_matches_unsplit_run() {
-        let build = || {
+        let generated = || {
             let mut cfg = SystemConfig::hpca03(Scheme::CHash, 256 << 10, 64);
             cfg.checker.protected_bytes = 128 << 20;
             System::for_benchmark(cfg, Benchmark::Swim, 7)
         };
-        let whole = build().run(5_000, 30_000);
-        // Splitting the measurement window across two `run` calls inserts
-        // a `reset_stats` at the seam; it must not perturb timing —
-        // in-flight bus/hash bookings survive the reset.
-        let mut sys = build();
-        let a = sys.run(5_000, 12_000);
-        let b = sys.run(0, 18_000);
-        assert_eq!(a.instructions + b.instructions, whole.instructions);
-        assert_eq!(
-            a.cycles + b.cycles,
-            whole.cycles,
-            "mid-run reset_stats must not perturb timing"
-        );
-        assert_eq!(a.bus_bytes + b.bus_bytes, whole.bus_bytes);
+        let recorded = || recorded_swim(35_000);
+        for build in [&generated as &dyn Fn() -> System, &recorded] {
+            let whole = build().run(5_000, 30_000);
+            // Splitting the measurement window across two `run` calls
+            // inserts a `reset_stats` at the seam; it must not perturb
+            // timing — in-flight bus/hash bookings survive the reset.
+            let mut sys = build();
+            let a = sys.run(5_000, 12_000);
+            let b = sys.run(0, 18_000);
+            assert_eq!(a.instructions + b.instructions, whole.instructions);
+            assert_eq!(
+                a.cycles + b.cycles,
+                whole.cycles,
+                "mid-run reset_stats must not perturb timing"
+            );
+            assert_eq!(a.bus_bytes + b.bus_bytes, whole.bus_bytes);
+        }
+    }
+
+    #[test]
+    fn recorded_trace_running_dry_ends_the_window() {
+        let mut sys = recorded_swim(10_000);
+        let (r, samples) = sys.run_sampled(2_000, 50_000, 3_000);
+        assert_eq!(r.benchmark, "swim.trc");
+        assert_eq!(r.instructions, 8_000);
+        let counts: Vec<u64> = samples.iter().map(|s| s.instructions).collect();
+        assert_eq!(counts, [3_000, 6_000, 8_000]);
+        assert_eq!(samples.last().unwrap().cycles, r.cycles);
+        // A dry source measures nothing more.
+        let (rest, samples) = sys.run_sampled(0, 1_000, 0);
+        assert_eq!((rest.instructions, rest.cycles), (0, 0));
+        assert!(samples.is_empty());
     }
 
     #[test]

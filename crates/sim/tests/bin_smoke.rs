@@ -340,14 +340,63 @@ fn mivsim_record_and_replay() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("wrote 30000 records"));
 
-    let (ok, stdout, stderr) = run(
-        exe,
-        &[
-            "run", "--scheme", "naive", "--trace", trc_str, "--warmup", "5000",
-        ],
-    );
+    // `run --trace` with `args` appended.
+    let replay = |args: &[&str]| {
+        let mut all = vec!["run", "--trace", trc_str, "--warmup", "5000"];
+        all.extend_from_slice(args);
+        run(exe, &all)
+    };
+    let (ok, stdout, stderr) = replay(&["--scheme", "naive"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("naive"));
     assert!(stdout.contains("smoke.trc"));
+
+    // A replay is a sweep like any other: identical at any --jobs.
+    let sweep = |jobs: &str| {
+        let (ok, stdout, stderr) = run(
+            exe,
+            &[
+                "sweep", "--trace", trc_str, "--warmup", "5000", "--jobs", jobs,
+            ],
+        );
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let sequential = sweep("1");
+    assert_eq!(sequential, sweep("2"));
+    assert!(sequential.contains("ihash") && sequential.contains("smoke.trc"));
+
+    // The replay reports the same result fields as a generated run, and
+    // samples the window every --sample-interval instructions.
+    let metrics = dir.join("replay.json");
+    let (ok, stdout, stderr) = replay(&[
+        "--scheme",
+        "chash",
+        "--sample-interval",
+        "5000",
+        "--json",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let doc = miv_obs::JsonValue::parse(&stdout).unwrap();
+    let result = &doc.as_array().unwrap()[0];
+    assert_eq!(result.get("instructions").unwrap().as_u64(), Some(25_000));
+    let occupancy = result.get("l2_hash_occupancy").unwrap().as_f64().unwrap();
+    assert!(occupancy > 0.0, "chash caches hashes: {occupancy}");
+    let doc = miv_obs::JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let samples = doc.get("samples").unwrap().as_array().unwrap();
+    assert_eq!(samples.len(), 5, "one sample per 5000 instructions");
+
+    // The trace is outside input: an address beyond the protected
+    // segment is a CLI error naming it, for every scheme.
+    for scheme in ["base", "chash"] {
+        let (ok, _, stderr) = replay(&["--scheme", scheme, "--protected", "64K"]);
+        assert!(!ok, "{scheme}: an oversized trace must be rejected");
+        assert!(stderr.contains("address 0x"), "{scheme}: {stderr}");
+        assert!(stderr.contains("outside"), "{scheme}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{scheme}: {stderr}");
+    }
+    std::fs::remove_file(metrics).ok();
     std::fs::remove_file(trc).ok();
 }

@@ -121,6 +121,10 @@ mod tests {
             ),
             (StoreError::Crashed, "crash"),
             (StoreError::Poisoned, "poisoned"),
+            (
+                FormatError::BadMagic { what: "superblock" }.into(),
+                "bad magic",
+            ),
         ] {
             assert!(err.to_string().contains(needle), "{err}");
         }

@@ -1007,6 +1007,14 @@ mod tests {
         assert_eq!(store.generation(), 2);
         drop(store);
 
+        // Another store's root at the same generation does not bless
+        // this disk: its roots digest differs from the superblock's.
+        let (mut other, _, other_roots) = fresh(StoreConfig::small());
+        other.write(100, b"another payload").unwrap();
+        other.commit().unwrap();
+        let err = BlockStore::open(medium.clone(), other_roots, Box::new(Md5Hasher), 16);
+        assert!(matches!(err, Err(StoreError::NoMatchingRoot { .. })));
+
         let (mut store, report) = BlockStore::open(medium, roots, Box::new(Md5Hasher), 16).unwrap();
         assert_eq!(report.generation, 2);
         assert_eq!(store.read_vec(100, 21).unwrap(), b"the committed payload");

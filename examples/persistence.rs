@@ -1,106 +1,109 @@
 //! Trusted state on untrusted storage: hibernate, restore, and reject
-//! rollbacks.
+//! tampering and rollbacks.
 //!
 //! The related work the paper builds on (trusted databases on untrusted
 //! storage) treats a disk exactly like the paper treats RAM: bulk data
 //! lives outside the trust boundary and only the tree root must be kept
-//! safe. This example hibernates a verified memory to an (attackable)
-//! blob, restores it, and shows the two attacks the root defeats:
-//! tampering the stored image, and rolling the image back to an earlier
-//! version after the root moved on. It then moves from one-shot
-//! hibernation to a *live* disk: the `miv-store` verified block store,
-//! which keeps the tree on the device, commits atomically through a
-//! shadow superblock, and recovers a committed root after a mid-write
-//! power cut.
+//! safe. This example hibernates a verified block store (`miv-store`) to
+//! an attackable in-memory disk, powers it back on, and shows the two
+//! attacks the trusted root defeats: tampering a stored page, and
+//! rolling the whole disk back to an earlier image after the root moved
+//! on. It then shows the store's atomic commit: a power cut in the
+//! middle of a commit recovers the last committed root.
 //!
 //! ```text
 //! cargo run --example persistence
 //! ```
 
-#![expect(
-    clippy::unwrap_used,
-    reason = "examples keep error handling out of the way of the API they demonstrate"
-)]
-
-use miv::core::persist::{restore, SavedImage};
-use miv::core::{MemoryBuilder, Protection};
 use miv::hash::digest::Md5Hasher;
 use miv::store::{BlockStore, CrashMedium, MemMedium, MemRootStore, StoreConfig, StoreError};
 
-const KEY: [u8; 16] = *b"hibernation-key!";
+/// Where the account balance lives.
+const SAVINGS: u64 = 0x200;
+/// A record on another page, which the last commit does not rewrite.
+const OWNER: u64 = 0x1000;
 
-fn main() {
-    // A running machine with application state.
-    let mut mem = MemoryBuilder::new()
-        .data_bytes(64 * 1024)
-        .key(KEY)
-        .cache_blocks(256)
-        .build();
-    mem.write(0x1000, b"savings = 5000 credits").unwrap();
+fn main() -> Result<(), StoreError> {
+    hibernate_demo()?;
+    // The block store commits through a journal + shadow superblock, so
+    // a power cut in the middle of a write burst can never tear the
+    // committed state.
+    crash_demo()
+}
 
-    // Hibernate: the image goes to untrusted storage, the root stays in
-    // the trust boundary (on-chip NVRAM, a TPM, a smartcard...).
-    let image = mem.export_state().unwrap();
-    let root = mem.export_root(Protection::HashTree, KEY);
+/// Commit → power off → tamper or roll back the disk → power on.
+fn hibernate_demo() -> Result<(), StoreError> {
+    let disk = MemMedium::new();
+    let nvram = MemRootStore::new(); // trusted root: on-chip NVRAM, a TPM, a smartcard...
+    let config = StoreConfig {
+        data_bytes: 64 * 1024,
+        page_bytes: 128,
+        cache_pages: 16,
+        journal_slots: 0, // sized automatically
+    };
+    let mut store = BlockStore::create(disk.clone(), nvram.clone(), config, Box::new(Md5Hasher))?;
+    store.write(OWNER, b"owner = alice")?;
+    store.write(SAVINGS, b"savings = 5000 credits")?;
+    store.commit()?;
+    // The attacker copies the disk while it holds 5000 credits...
+    let old_image = disk.snapshot();
+    // ...and the machine runs on and spends them.
+    store.write(SAVINGS, b"savings =    0 credits")?;
+    store.commit()?;
+    let geom = store.geometry();
+    let owner_offset = geom.page_offset(geom.layout().data_chunk_for(OWNER))
+        + OWNER % u64::from(geom.page_bytes());
+    let generation = store.generation();
+    drop(store); // power off
+    let committed = disk.snapshot();
     println!(
-        "hibernated {} KiB to untrusted storage; {} digests stay on chip",
-        image.as_bytes().len() / 1024,
-        mem.secure_root().len()
+        "hibernated generation {generation} as {} KiB on untrusted storage; only the root stays on chip",
+        committed.len() / 1024
     );
 
-    // Power back on: the pair verifies and the state is live again.
-    let mut revived = restore(&image, &root, 256, Box::new(Md5Hasher)).unwrap();
-    println!(
-        "restored: {:?}",
-        String::from_utf8_lossy(&revived.read_vec(0x1000, 22).unwrap())
-    );
-
-    // Attack 1: the stored image is modified on disk. Decoding is
-    // fallible — a malformed blob is rejected before any hashing — but
-    // a single flipped payload bit still decodes fine; only the tree
-    // check against the root catches it.
-    let mut bytes = SavedImage::from_bytes(image.as_bytes().to_vec())
-        .expect("the exported image always decodes")
-        .as_bytes()
-        .to_vec();
-    let idx = bytes.len() / 2;
-    bytes[idx] ^= 0x01;
-    let tampered = SavedImage::from_bytes(bytes).expect("a payload flip still decodes");
-    match restore(&tampered, &root, 256, Box::new(Md5Hasher)) {
-        Ok(_) => unreachable!("tampered image must not restore"),
-        Err(err) => println!("tampered image rejected: {err}"),
+    // Attack 1: flip one bit of the owner page on disk. The last commit
+    // did not journal that page, so nothing heals it at open; only the
+    // tree walk against the root catches it.
+    disk.flip(owner_offset, 0x01);
+    let (mut store, _) = BlockStore::open(disk.clone(), nvram.clone(), Box::new(Md5Hasher), 16)?;
+    match store.read_vec(OWNER, 13) {
+        Ok(_) => unreachable!("a tampered page must not verify"),
+        Err(err) => println!("tampered page rejected: {err}"),
     }
+    drop(store);
 
-    // Attack 2: rollback. The machine runs on (spends the savings), saves
-    // again; the attacker restores the OLD image hoping to refund.
-    revived.write(0x1000, b"savings =    0 credits").unwrap();
-    let _new_image = revived.export_state().unwrap();
-    let new_root = revived.export_root(Protection::HashTree, KEY);
-    match restore(&image, &new_root, 256, Box::new(Md5Hasher)) {
-        Ok(_) => unreachable!("rollback must not restore"),
+    // Attack 2: rollback. Splice the old, internally consistent image
+    // back in, hoping for a refund; the trusted root has moved on.
+    disk.restore(&old_image);
+    match BlockStore::open(disk.clone(), nvram.clone(), Box::new(Md5Hasher), 16) {
+        Ok(_) => unreachable!("rollback must not open"),
         Err(err) => println!("rollback to the old image rejected: {err}"),
     }
-    println!("only the (image, root) pair the processor saved together is accepted.");
 
-    // Hibernation is one-shot; a live system wants a *disk*. The block
-    // store keeps the hash tree on the untrusted device and commits
-    // through a journal + shadow superblock, so a power cut in the
-    // middle of a write burst can never tear the committed state.
-    block_store_demo().expect("block store demo");
+    // Power back on with the image the processor committed last: only
+    // that one verifies against the trusted root.
+    disk.restore(&committed);
+    let (mut store, _) = BlockStore::open(disk, nvram, Box::new(Md5Hasher), 16)?;
+    store.verify_all()?;
+    println!(
+        "restored the committed image: {:?}",
+        String::from_utf8_lossy(&store.read_vec(SAVINGS, 22)?)
+    );
+    Ok(())
 }
 
 /// Open → write → crash → recover on the verified block store. The
 /// medium here is in-memory for a self-contained example; `FileMedium`
 /// drops in for a real file (see `mivsim store`).
-fn block_store_demo() -> Result<(), StoreError> {
+fn crash_demo() -> Result<(), StoreError> {
     println!("\n-- verified block store: crash and recover --");
     let disk = MemMedium::new();
-    let nvram = MemRootStore::new(); // trusted root: on-chip NVRAM
+    let nvram = MemRootStore::new();
     let config = StoreConfig {
         data_bytes: 16 * 1024,
         page_bytes: 128,
         cache_pages: 16,
-        journal_slots: 0, // sized automatically
+        journal_slots: 0,
     };
 
     // Create the store and commit a first generation.
